@@ -17,13 +17,15 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import LinkDomainError
+from .errors import LinkDomainError, ProfileSyntaxError
 from .generate import gen_edge_realizing, gen_impartial_culture
 from .graph import ConnectivityGraph, Mode, build_graph, export_dot
 from .model import Election, default_names
 from .oracle import DEFAULT_CAP, brute_force_linked
 from .profiles import parse_native, parse_preflib_soc, write_native
 from .recognize import RecognitionResult, recognize, verify_witness
+
+MAX_GRAPH_VERTICES = 1_000_000  # as many as parse_preflib_soc accepts alternatives
 
 
 def _load_election(path: str, fmt: str) -> Election:
@@ -87,19 +89,37 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _read_graph_file(path: str) -> tuple[ConnectivityGraph, tuple[str, ...]]:
-    """Edge-list ('u v' per line, 0-based) or the DOT subset export_dot emits."""
+    """Edge-list ('u v' per line, 0-based) or the DOT subset export_dot emits.
+
+    An edge list names at most MAX_GRAPH_VERTICES vertices. A malformed
+    line, a self-loop or a larger id raises ProfileSyntaxError with its line
+    number before any per-vertex storage is allocated.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    stripped = [line.strip() for line in text.splitlines()]
-    lines = [line for line in stripped if line and not line.startswith("#")]
-    if lines and lines[0].startswith("graph"):
-        return _parse_dot(lines, path)
+    numbered = enumerate((line.strip() for line in text.splitlines()), start=1)
+    lines = [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
+    if lines and lines[0][1].startswith("graph"):
+        return _parse_dot([line for _, line in lines], path)
 
     edges = []
-    for line in lines:
+    for line_no, line in lines:
         parts = line.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-            raise LinkDomainError(f"{path}: expected 'u v' edge lines, got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            raise ProfileSyntaxError(f"expected a 'u v' edge line, got {line!r}", line=line_no)
+        ids = []
+        for part in parts:
+            digits = part.lstrip("0") or "0"
+            # the length test keeps int() off ids too long to convert
+            if len(digits) > len(str(MAX_GRAPH_VERTICES)) or int(digits) >= MAX_GRAPH_VERTICES:
+                raise ProfileSyntaxError(
+                    f"vertex id {part} is beyond the supported {MAX_GRAPH_VERTICES} vertices",
+                    line=line_no,
+                )
+            ids.append(int(digits))
+        u, v = ids
+        if u == v:
+            raise ProfileSyntaxError(f"self-loop at vertex {u}", line=line_no)
+        edges.append((u, v))
     if not edges:
         raise LinkDomainError(f"{path}: no edges; cannot infer the vertex count")
     m = max(max(u, v) for u, v in edges) + 1

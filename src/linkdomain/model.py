@@ -77,7 +77,7 @@ def validate_election(
         names: candidate display names, in id order; surrounding whitespace
             is trimmed.
         rankings: (sequence of names most-preferred first, multiplicity)
-            pairs.
+            pairs; surrounding whitespace of each name is trimmed.
 
     Returns:
         A well-formed Election.
@@ -88,49 +88,85 @@ def validate_election(
             EmptyCandidateSet, NonPositiveMultiplicity).
     """
     violations: list[Violation] = []
+    trimmed, index = index_candidates(names, violations)
+    m = len(trimmed)
+    votes: list[tuple[Vote, int]] = []
+    for vote_no, (raw_ranking, mult) in enumerate(rankings, start=1):
+        if mult < 1:
+            violations.append(
+                NonPositiveMultiplicity(f"vote {vote_no}: multiplicity {mult} is not positive")
+            )
+        ids = resolve_ranking(
+            [str(raw).strip() for raw in raw_ranking], index, m, vote_no, violations
+        )
+        if ids is not None:
+            votes.append((ids, mult))
+    return make_election(trimmed, votes, violations)
 
+
+def index_candidates(
+    names: Iterable[str], violations: list[Violation]
+) -> tuple[list[str], dict[str, int]]:
+    """Trim the candidate names and map each to its id.
+
+    Appends EmptyCandidateSet, EmptyCandidateName and DuplicateCandidateName
+    violations. Empty names are left out of the index, and a repeated name
+    keeps the id of its first occurrence.
+    """
     trimmed = [str(name).strip() for name in names]
     if not trimmed:
         violations.append(EmptyCandidateSet("candidate set is empty"))
-    seen: dict[str, int] = {}
+    index: dict[str, int] = {}
     for i, name in enumerate(trimmed):
         if not name:
             violations.append(EmptyCandidateName(f"candidate {i} has an empty name"))
-        elif name in seen:
+        elif name in index:
             violations.append(DuplicateCandidateName(f"duplicate candidate name {name!r}"))
         else:
-            seen[name] = i
+            index[name] = i
+    return trimmed, index
 
-    m = len(trimmed)
-    votes: list[tuple[Vote, int]] = []
-    for line_no, (raw_ranking, mult) in enumerate(rankings, start=1):
-        if mult < 1:
-            violations.append(
-                NonPositiveMultiplicity(f"vote {line_no}: multiplicity {mult} is not positive")
-            )
-        ids: list[int] = []
-        ok = True
-        for raw in raw_ranking:
-            name = str(raw).strip()
-            cid = seen.get(name)
-            if cid is None:
-                violations.append(UnknownCandidate(f"vote {line_no}: unknown candidate {name!r}"))
-                ok = False
-            else:
-                ids.append(cid)
-        if ok and (len(ids) != m or len(set(ids)) != m):
-            violations.append(
-                IncompleteRanking(
-                    f"vote {line_no}: ranking is not a permutation of the {m} candidates"
-                )
-            )
+
+def resolve_ranking(
+    ranking: Sequence[str],
+    index: dict[str, int],
+    m: int,
+    vote_no: int,
+    violations: list[Violation],
+) -> Vote | None:
+    """Candidate ids of one ranking of trimmed names, most-preferred first.
+
+    Returns None after appending the ranking's violations: one
+    UnknownCandidate per name not in index, in order, or else an
+    IncompleteRanking if the ids are not a permutation of 0..m-1. vote_no
+    (1-based) numbers the messages.
+    """
+    ids: list[int] = []
+    ok = True
+    for name in ranking:
+        cid = index.get(name)
+        if cid is None:
+            violations.append(UnknownCandidate(f"vote {vote_no}: unknown candidate {name!r}"))
             ok = False
-        if ok:
-            votes.append((tuple(ids), mult))
+        else:
+            ids.append(cid)
+    if ok and (len(ids) != m or len(set(ids)) != m):
+        violations.append(
+            IncompleteRanking(
+                f"vote {vote_no}: ranking is not a permutation of the {m} candidates"
+            )
+        )
+        ok = False
+    return tuple(ids) if ok else None
 
+
+def make_election(
+    names: Sequence[str], votes: list[tuple[Vote, int]], violations: list[Violation]
+) -> Election:
+    """The Election of validated names and votes; InvalidElection if any violation was found."""
     if violations:
         raise InvalidElection(violations)
-    candidates = tuple(Candidate(i, name) for i, name in enumerate(trimmed))
+    candidates = tuple(Candidate(i, name) for i, name in enumerate(names))
     return Election(candidates, tuple(votes))
 
 

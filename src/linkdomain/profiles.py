@@ -28,8 +28,10 @@ from .errors import (
     ProfileSyntaxError,
     UnrepresentableName,
     UnsupportedProfile,
+    Violation,
 )
-from .model import Election, validate_election
+from .model import Election, Vote, index_candidates, make_election, resolve_ranking
+from .model import validate_election  # noqa: F401 - perfbench's trace hooks look it up here
 
 _RESERVED = (",", ">", "\n", "\r")
 
@@ -48,9 +50,24 @@ def _decode(text: str | bytes) -> str:
 
 
 def parse_native(text: str | bytes) -> Election:
-    """Parse the native profile format into a validated Election."""
-    header: list[str] | None = None
-    rankings: list[tuple[list[str], int]] = []
+    """Parse the native profile format into a validated Election.
+
+    Each ranking line is resolved to candidate ids as it is read. A
+    ranking written as write_native writes it, names joined by " > ", is
+    split there and looked up name by name; any other goes through
+    model.resolve_ranking. The ids of a valid ranking text are kept, so
+    every later line with the same text skips the resolution and shares
+    one tuple.
+    """
+    names: list[str] | None = None
+    index: dict[str, int] = {}
+    whole: dict[str, int] = {}  # the names a ranking split on " > " can match
+    m = 0
+    violations: list[Violation] = []
+    votes: list[tuple[Vote, int]] = []
+    rejected = 0  # ranking lines with violations; they keep their vote number
+    known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
+    mults: dict[str, int] = {}  # count field -> multiplicity
     lines = _decode(text).splitlines()
 
     for line_no, raw in enumerate(lines, start=1):
@@ -58,36 +75,53 @@ def parse_native(text: str | bytes) -> Election:
         if not line or line.startswith("#"):
             continue
         if line.startswith(_HEADER_PREFIX):
-            if header is not None:
+            if names is not None:
                 raise ProfileSyntaxError("second candidates: line", line=line_no, column=1)
             header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
-            for part in header:
-                if not part:
-                    raise ProfileSyntaxError("empty candidate name in header", line=line_no)
+            if "" in header:
+                raise ProfileSyntaxError("empty candidate name in header", line=line_no)
+            names, index = index_candidates(header, violations)
+            m = len(names)
+            # A name with '>' is cut apart in every ranking, so none can be valid.
+            whole = {} if any(">" in name for name in names) else index
             continue
-        if header is None:
+        if names is None:
             raise ProfileSyntaxError(
                 "ranking line before the candidates: header", line=line_no, column=1
             )
         count_part, sep, rest = line.partition(":")
         if not sep:
             raise ProfileSyntaxError("expected '<count>: <ranking>'", line=line_no, column=1)
-        count_str = count_part.strip()
-        if not (count_str.isascii() and count_str.isdigit()) or int(count_str) < 1:
-            raise ProfileSyntaxError(
-                f"multiplicity must be a positive integer, got {count_str!r}",
-                line=line_no,
-                column=_column(raw, count_str),
-            )
-        names = [part.strip() for part in rest.split(">")]
-        for part in names:
-            if not part:
-                raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
-        rankings.append((names, int(count_str)))
+        mult = mults.get(count_part)
+        if mult is None:
+            count_str = count_part.strip()
+            if not (count_str.isascii() and count_str.isdigit()) or int(count_str) < 1:
+                raise ProfileSyntaxError(
+                    f"multiplicity must be a positive integer, got {count_str!r}",
+                    line=line_no,
+                    column=_column(raw, count_str),
+                )
+            mult = mults[count_part] = int(count_str)
+        ids = known.get(rest)
+        if ids is None:
+            try:
+                ids = tuple(map(whole.__getitem__, rest.lstrip().split(" > ")))
+            except KeyError:
+                pass
+            if ids is None or len(ids) != m or len(set(ids)) != m:
+                ranking = list(map(str.strip, rest.split(">")))
+                if "" in ranking:
+                    raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
+                ids = resolve_ranking(ranking, index, m, len(votes) + rejected + 1, violations)
+                if ids is None:
+                    rejected += 1
+                    continue
+            known[rest] = ids
+        votes.append((ids, mult))
 
-    if header is None:
+    if names is None:
         raise ProfileSyntaxError("missing candidates: header", line=max(1, len(lines)))
-    return validate_election(header, rankings)
+    return make_election(names, votes, violations)
 
 
 def _column(raw_line: str, token: str) -> int:
@@ -96,11 +130,23 @@ def _column(raw_line: str, token: str) -> int:
 
 
 def parse_preflib_soc(text: str | bytes) -> Election:
-    """Parse a PrefLib strict-complete-orders file into a validated Election."""
+    """Parse a PrefLib strict-complete-orders file into a validated Election.
+
+    Data lines are read into 0-based id tuples, shared between lines with
+    the same order text. Names are matched only at the end, and only when
+    they can change the outcome: a missing, empty or repeated name, an
+    order that repeats an id, or a name declared after a data line that
+    used the id's default name.
+    """
     m: int | None = None
     declared_voters: int | None = None
     alt_names: dict[int, str] = {}
-    rankings: list[tuple[list[str], int]] = []
+    named_after: dict[int, int] = {}  # alternative -> data lines read before its name
+    rows: list[tuple[Vote, int]] = []
+    repeats_an_id = False
+    known: dict[str, Vote] = {}  # order text -> ids of a permutation
+    tokens: dict[str, int] = {}  # "1".."m" -> 0..m-1, once a line has m ids
+    counts: dict[str, int] = {}  # count field -> vote count
     total_votes = 0
     lines = _decode(text).splitlines()
 
@@ -141,6 +187,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                         f"ALTERNATIVE NAME {idx} declared twice", line=line_no
                     )
                 alt_names[idx] = value
+                named_after[idx] = len(rows)
             elif key == "NUMBER VOTERS" and not index:
                 try:
                     declared_voters = int(value)
@@ -156,33 +203,37 @@ def parse_preflib_soc(text: str | bytes) -> Election:
         count_part, sep, rest = line.partition(":")
         if not sep:
             raise ProfileSyntaxError("expected '<count>: <id>,<id>,...'", line=line_no, column=1)
-        count_str = count_part.strip()
-        if not (count_str.isascii() and count_str.isdigit()) or int(count_str) < 1:
-            raise ProfileSyntaxError(
-                f"vote count must be a positive integer, got {count_str!r}", line=line_no, column=1
-            )
-        alternatives = require_m(line_no)
-        ids = []
-        for token in rest.split(","):
-            token = token.strip()
-            if not re.fullmatch(r"-?\d+", token):
+        count = counts.get(count_part)
+        if count is None:
+            count_str = count_part.strip()
+            if not (count_str.isascii() and count_str.isdigit()) or int(count_str) < 1:
                 raise ProfileSyntaxError(
-                    f"alternative id is not an integer: {token!r}", line=line_no
+                    f"vote count must be a positive integer, got {count_str!r}",
+                    line=line_no,
+                    column=1,
                 )
-            ids.append(int(token))
-        if len(ids) != alternatives:
-            raise UnsupportedProfile(
-                f"expected a complete order over {alternatives} alternatives, got {len(ids)}",
-                line=line_no,
-            )
-        for alt in ids:
-            if not 1 <= alt <= alternatives:
-                raise InconsistentMetadata(
-                    f"alternative id {alt} outside 1..{alternatives}", line=line_no
-                )
-        count = int(count_str)
+            count = counts[count_part] = int(count_str)
+        alternatives = require_m(line_no)
+        ids = known.get(rest)
+        if ids is None:
+            # lstrip takes the space after ':' off the first id; it changes no
+            # token once stripped, which is all _soc_ids looks at
+            parts = rest.lstrip().split(",")
+            if len(parts) == alternatives:
+                if not tokens:
+                    tokens = {str(k): k - 1 for k in range(1, alternatives + 1)}
+                try:
+                    ids = tuple(map(tokens.__getitem__, parts))
+                except KeyError:
+                    pass
+            if ids is None:
+                ids = _soc_ids(parts, alternatives, line_no)
+            if len(set(ids)) == alternatives:
+                known[rest] = ids
+            else:
+                repeats_an_id = True
         total_votes += count
-        rankings.append(([_alt_name(alt_names, alt) for alt in ids], count))
+        rows.append((ids, count))
 
     eof = max(1, len(lines))
     alternatives = require_m(eof)
@@ -195,8 +246,49 @@ def parse_preflib_soc(text: str | bytes) -> Election:
         raise InconsistentMetadata(
             f"NUMBER VOTERS is {declared_voters} but data lines sum to {total_votes}", line=eof
         )
-    names = [_alt_name(alt_names, i) for i in range(1, alternatives + 1)]
-    return validate_election(names, rankings)
+    violations: list[Violation] = []
+    names, index = index_candidates(
+        [_alt_name(alt_names, i) for i in range(1, alternatives + 1)], violations
+    )
+    if not (violations or repeats_an_id or any(named_after.values())):
+        # Every line named alternative a by names[a - 1], and the names are
+        # distinct: each permutation resolves to itself.
+        return make_election(names, rows, violations)
+
+    def read_as(alt: int, vote_no: int) -> str:
+        """The name alternative alt had when data line vote_no was read."""
+        return alt_names[alt] if named_after.get(alt, vote_no) < vote_no else str(alt)
+
+    votes: list[tuple[Vote, int]] = []
+    for vote_no, (ids, count) in enumerate(rows, start=1):
+        ranking = [read_as(a + 1, vote_no).strip() for a in ids]
+        resolved = resolve_ranking(ranking, index, len(names), vote_no, violations)
+        if resolved is not None:
+            votes.append((resolved, count))
+    return make_election(names, votes, violations)
+
+
+def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:
+    """0-based ids of the comma-split order of one data line.
+
+    Raises, in this order: ProfileSyntaxError for the first token that is
+    not an integer, UnsupportedProfile if there are not m ids, and
+    InconsistentMetadata for the first id outside 1..m.
+    """
+    ids = []
+    for token in parts:
+        token = token.strip()
+        if not re.fullmatch(r"-?\d+", token):
+            raise ProfileSyntaxError(f"alternative id is not an integer: {token!r}", line=line_no)
+        ids.append(int(token))
+    if len(ids) != m:
+        raise UnsupportedProfile(
+            f"expected a complete order over {m} alternatives, got {len(ids)}", line=line_no
+        )
+    for alt in ids:
+        if not 1 <= alt <= m:
+            raise InconsistentMetadata(f"alternative id {alt} outside 1..{m}", line=line_no)
+    return tuple(alt - 1 for alt in ids)
 
 
 def _alt_name(alt_names: dict[int, str], idx: int) -> str:

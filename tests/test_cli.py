@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from linkdomain import ConnectivityGraph, export_dot, gen_edge_realizing, write_native
+from linkdomain import (
+    ConnectivityGraph,
+    ProfileSyntaxError,
+    export_dot,
+    gen_edge_realizing,
+    write_native,
+)
+from linkdomain import cli
 from linkdomain.cli import main
 
 K3_PROFILE = (
@@ -163,3 +170,61 @@ class TestOracle:
         path = tmp_path / "p.soc"
         path.write_text(SOC_PROFILE)
         assert main(["oracle", str(path), "--format", "soc"]) == 0
+
+
+class TestGraphFile:
+    @pytest.fixture(autouse=True)
+    def no_large_graph(self, monkeypatch):
+        """A graph of more than a few vertices here means an id got past the
+        bound: fail before its adjacency lists are allocated."""
+        real = cli.ConnectivityGraph
+
+        def guarded(m, edges, *args):
+            assert m <= 10, f"reader built a graph on {m} vertices"
+            return real(m, edges, *args)
+
+        monkeypatch.setattr(cli, "ConnectivityGraph", guarded)
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        return cli._read_graph_file(str(path))
+
+    def test_comments_blank_lines_and_leading_zeros(self, tmp_path):
+        graph, names = self.read(tmp_path, "# a path\n\n0 1\n  1\t002  \n")
+        assert graph == ConnectivityGraph(3, [(0, 1), (1, 2)])
+        assert names == ("a", "b", "c")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0 99999999999", "1000000 0", "0 " + "9" * 5000, "0 " + "0" * 5000 + "1000000"],
+    )
+    def test_oversized_id_is_rejected_with_its_line(self, tmp_path, line):
+        with pytest.raises(ProfileSyntaxError) as exc:
+            self.read(tmp_path, f"# header\n0 1\n{line}\n")
+        assert exc.value.line == 3
+        assert "beyond the supported 1000000 vertices" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 1 2", "expected a 'u v' edge line"),
+            ("0", "expected a 'u v' edge line"),
+            ("0 x", "expected a 'u v' edge line"),
+            ("-1 2", "expected a 'u v' edge line"),
+            ("0 \u0661", "expected a 'u v' edge line"),
+            ("0 \u00b2", "expected a 'u v' edge line"),
+            ("2 2", "self-loop at vertex 2"),
+        ],
+    )
+    def test_malformed_line_is_rejected_with_its_line(self, tmp_path, line, message):
+        with pytest.raises(ProfileSyntaxError) as exc:
+            self.read(tmp_path, f"0 1\n\n{line}\n1 2\n")
+        assert exc.value.line == 3
+        assert message in str(exc.value)
+
+    def test_gen_reports_the_line_and_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n0 99999999999\n")
+        assert main(["gen", "--model", "edges", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: vertex id 99999999999")
