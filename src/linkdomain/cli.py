@@ -22,7 +22,7 @@ from .generate import gen_edge_realizing, gen_impartial_culture
 from .graph import ConnectivityGraph, Mode, build_graph, export_dot
 from .model import Election, default_names
 from .oracle import DEFAULT_CAP, brute_force_linked
-from .profiles import parse_native, parse_preflib_soc, write_native
+from .profiles import _decode, parse_native, parse_preflib_soc, write_native
 from .recognize import RecognitionResult, recognize, verify_witness
 
 MAX_GRAPH_VERTICES = 1_000_000  # as many as parse_preflib_soc accepts alternatives
@@ -91,11 +91,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _read_graph_file(path: str) -> tuple[ConnectivityGraph, tuple[str, ...]]:
     """Edge-list ('u v' per line, 0-based) or the DOT subset export_dot emits.
 
-    An edge list names at most MAX_GRAPH_VERTICES vertices. A malformed
-    line, a self-loop or a larger id raises ProfileSyntaxError with its line
-    number before any per-vertex storage is allocated.
+    An edge list names at most MAX_GRAPH_VERTICES vertices. Invalid UTF-8,
+    a malformed line, a self-loop or a larger id raises ProfileSyntaxError
+    with its line number before any per-vertex storage is allocated.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _decode(Path(path).read_bytes())
     numbered = enumerate((line.strip() for line in text.splitlines()), start=1)
     lines = [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
     if lines and lines[0][1].startswith("graph"):

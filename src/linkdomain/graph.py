@@ -9,10 +9,8 @@ only on this graph, so everything downstream consumes it.
 """
 
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import TooFewCandidates
 from .model import Election
@@ -56,7 +54,7 @@ class ConnectivityGraph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(ns)) for ns in neighbors
         )
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr: tuple[list[int], list[int]] | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -67,24 +65,16 @@ class ConnectivityGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form (indptr, indices) as int32, cached."""
+    def csr_arrays(self) -> tuple[list[int], list[int]]:
+        """Adjacency in CSR form (indptr, indices) as lists, cached."""
         if self._csr is None:
-            indptr = np.zeros(self.m + 1, dtype=np.int32)
-            indptr[1:] = np.cumsum([len(ns) for ns in self.adjacency])
-            indices = np.fromiter(
-                chain.from_iterable(self.adjacency), dtype=np.int32, count=int(indptr[-1])
-            )
-            self._csr = (indptr, indices)
+            indptr = list(accumulate(map(len, self.adjacency), initial=0))
+            self._csr = (indptr, list(chain.from_iterable(self.adjacency)))
         return self._csr
 
-    def seed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as parallel int32 arrays, in ascending edge order."""
-        if not self.edges:
-            empty = np.empty(0, dtype=np.int32)
-            return empty, empty
-        arr = np.asarray(self.edges, dtype=np.int32)
-        return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+    def seed_arrays(self) -> tuple[list[int], list[int]]:
+        """Edge endpoints as parallel lists (lower end, higher end), in ascending edge order."""
+        return [u for u, _ in self.edges], [v for _, v in self.edges]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConnectivityGraph):

@@ -37,6 +37,7 @@ _RESERVED = (",", ">", "\n", "\r")
 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
+_MAX_DIGITS = 4300  # the longest decimal string int() converts by default
 
 
 def _decode(text: str | bytes) -> str:
@@ -47,6 +48,13 @@ def _decode(text: str | bytes) -> str:
     except UnicodeDecodeError as exc:
         line = text.count(b"\n", 0, exc.start) + 1
         raise ProfileSyntaxError(f"invalid UTF-8 ({exc.reason})", line=line) from None
+
+
+def _decimal(digits: str) -> int | None:
+    """The value of a string of decimal digits, or None when it has more than
+    _MAX_DIGITS significant digits, where int() would raise ValueError."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= _MAX_DIGITS else None
 
 
 def parse_native(text: str | bytes) -> Election:
@@ -95,13 +103,20 @@ def parse_native(text: str | bytes) -> Election:
         mult = mults.get(count_part)
         if mult is None:
             count_str = count_part.strip()
-            if not (count_str.isascii() and count_str.isdigit()) or int(count_str) < 1:
+            mult = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
+            if mult is None:
+                raise ProfileSyntaxError(
+                    f"multiplicity has more than {_MAX_DIGITS} digits",
+                    line=line_no,
+                    column=_column(raw, count_str),
+                )
+            if mult < 1:
                 raise ProfileSyntaxError(
                     f"multiplicity must be a positive integer, got {count_str!r}",
                     line=line_no,
                     column=_column(raw, count_str),
                 )
-            mult = mults[count_part] = int(count_str)
+            mults[count_part] = mult
         ids = known.get(rest)
         if ids is None:
             try:
@@ -165,12 +180,12 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 continue  # free-form comment
             key, index, value = match.group(1).strip(), match.group(2), match.group(3)
             if key == "NUMBER ALTERNATIVES" and not index:
-                try:
-                    declared = int(value)
-                except ValueError:
-                    raise ProfileSyntaxError(
-                        f"NUMBER ALTERNATIVES is not an integer: {value!r}", line=line_no
-                    ) from None
+                declared = _meta_int(key, value, line_no)
+                if declared is None:
+                    raise UnsupportedProfile(
+                        f"NUMBER ALTERNATIVES has more than {_MAX_DIGITS} digits, beyond the supported size",
+                        line=line_no,
+                    )
                 if m is not None and declared != m:
                     raise InconsistentMetadata(
                         f"NUMBER ALTERNATIVES redeclared as {declared}, was {m}", line=line_no
@@ -181,7 +196,11 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                     )
                 m = declared
             elif key == "ALTERNATIVE NAME" and index:
-                idx = int(index)
+                idx = _decimal(index)
+                if idx is None:
+                    raise InconsistentMetadata(
+                        f"ALTERNATIVE NAME index has more than {_MAX_DIGITS} digits", line=line_no
+                    )
                 if idx in alt_names:
                     raise InconsistentMetadata(
                         f"ALTERNATIVE NAME {idx} declared twice", line=line_no
@@ -189,12 +208,11 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 alt_names[idx] = value
                 named_after[idx] = len(rows)
             elif key == "NUMBER VOTERS" and not index:
-                try:
-                    declared_voters = int(value)
-                except ValueError:
+                declared_voters = _meta_int(key, value, line_no)
+                if declared_voters is None:
                     raise ProfileSyntaxError(
-                        f"NUMBER VOTERS is not an integer: {value!r}", line=line_no
-                    ) from None
+                        f"NUMBER VOTERS has more than {_MAX_DIGITS} digits", line=line_no
+                    )
             # every other key is forward-compatible metadata
             continue
 
@@ -206,13 +224,18 @@ def parse_preflib_soc(text: str | bytes) -> Election:
         count = counts.get(count_part)
         if count is None:
             count_str = count_part.strip()
-            if not (count_str.isascii() and count_str.isdigit()) or int(count_str) < 1:
+            count = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
+            if count is None:
+                raise ProfileSyntaxError(
+                    f"vote count has more than {_MAX_DIGITS} digits", line=line_no, column=1
+                )
+            if count < 1:
                 raise ProfileSyntaxError(
                     f"vote count must be a positive integer, got {count_str!r}",
                     line=line_no,
                     column=1,
                 )
-            count = counts[count_part] = int(count_str)
+            counts[count_part] = count
         alternatives = require_m(line_no)
         ids = known.get(rest)
         if ids is None:
@@ -243,8 +266,10 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 f"ALTERNATIVE NAME {idx} outside 1..{alternatives}", line=eof
             )
     if declared_voters is not None and declared_voters != total_votes:
+        # counts of up to _MAX_DIGITS digits can sum to one str() refuses
+        total = total_votes if total_votes < 10**_MAX_DIGITS else f"more than {_MAX_DIGITS} digits"
         raise InconsistentMetadata(
-            f"NUMBER VOTERS is {declared_voters} but data lines sum to {total_votes}", line=eof
+            f"NUMBER VOTERS is {declared_voters} but data lines sum to {total}", line=eof
         )
     violations: list[Violation] = []
     names, index = index_candidates(
@@ -268,6 +293,15 @@ def parse_preflib_soc(text: str | bytes) -> Election:
     return make_election(names, votes, violations)
 
 
+def _meta_int(key: str, value: str, line_no: int) -> int | None:
+    """A metadata value as int() reads it, or None for a string of more than
+    _MAX_DIGITS significant digits. ProfileSyntaxError for anything else."""
+    try:
+        return _decimal(value) if value.isascii() and value.isdigit() else int(value)
+    except ValueError:
+        raise ProfileSyntaxError(f"{key} is not an integer: {value!r}", line=line_no) from None
+
+
 def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:
     """0-based ids of the comma-split order of one data line.
 
@@ -280,12 +314,17 @@ def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:
         token = token.strip()
         if not re.fullmatch(r"-?\d+", token):
             raise ProfileSyntaxError(f"alternative id is not an integer: {token!r}", line=line_no)
-        ids.append(int(token))
+        alt = _decimal(token.lstrip("-"))
+        ids.append(-alt if alt is not None and token[0] == "-" else alt)
     if len(ids) != m:
         raise UnsupportedProfile(
             f"expected a complete order over {m} alternatives, got {len(ids)}", line=line_no
         )
     for alt in ids:
+        if alt is None:
+            raise InconsistentMetadata(
+                f"alternative id of more than {_MAX_DIGITS} digits outside 1..{m}", line=line_no
+            )
         if not 1 <= alt <= m:
             raise InconsistentMetadata(f"alternative id {alt} outside 1..{m}", line=line_no)
     return tuple(alt - 1 for alt in ids)

@@ -14,15 +14,13 @@ an unconnected pair is invalid outright.
 The reached set of a seed does not depend on absorption order (absorbing a
 vertex never lowers another vertex's count), so any tie-break gives the
 same verdict; greedy_closure uses lowest-id-first to make witnesses
-reproducible, and the sweep kernels use a FIFO worklist.
+reproducible, and the seed sweep (linkdomain.kernels) uses a FIFO worklist.
 """
 
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import NotAPermutation, SeedNotEdge
@@ -52,8 +50,8 @@ class StuckCertificate(Mapping):
 
     Stuck sets are recomputed on access (the closure is deterministic), so
     holding a certificate costs O(#seeds), not O(#seeds * m). `sizes` holds
-    one entry per edge, as the sweep kernel wrote it: the stuck-set size
-    of a seed the kernel ran, 0 for one it skipped because it lies inside
+    one entry per edge, as the seed sweep wrote it: the stuck-set size of
+    a seed the sweep decided, 0 for one it skipped because it lies inside
     an earlier stuck set. stuck_size() answers from that entry, and
     recomputes the closure only for a skipped seed. max_stuck_size is
     exact from the run seeds alone, since a skipped seed's closure lies
@@ -171,14 +169,14 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
 
     indptr, indices = graph.csr_arrays()
     seed_u, seed_v = graph.seed_arrays()
-    sizes = np.zeros(len(graph.edges), dtype=np.int32)
+    sizes = [0] * len(graph.edges)
     winner = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, graph.m, sizes)
 
     if winner < 0:
-        return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes.tolist()))
+        return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes))
     witness = greedy_closure(graph, graph.edges[winner]).reached
     if not verify_witness(graph, witness):
-        raise RuntimeError(f"kernel {kernels.KERNEL!r} produced an invalid witness; this is a bug")
+        raise RuntimeError("the seed sweep produced an invalid witness; this is a bug")
     return RecognitionResult(linked=True, witness=witness)
 
 

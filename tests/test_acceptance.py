@@ -2,10 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Everything here is zero-tolerance except the wall-clock bounds of
-criterion 7, which hold on commodity hardware with either kernel: the
-pure-Python sweep skips every pendant-clique seed that lies inside the
-first seed's stuck clique, so it runs 2 seeds (pinned by
-test_kernels.test_pendant_clique_runs_two_seeds).
+criterion 7, which hold on commodity hardware: the pure-Python sweep skips
+every pendant-clique seed that lies inside the first seed's stuck clique,
+and writes the pendant edge, whose ends share no neighbor, as a stuck pair
+(pinned by test_kernels.test_pendant_clique_runs_two_seeds).
 """
 
 import random
@@ -24,7 +24,6 @@ from linkdomain import (
     gen_pendant_clique,
     gen_random_graph,
     greedy_closure,
-    kernels,
     linked_via_all_pair_seeds,
     parse_native,
     parse_preflib_soc,
@@ -204,7 +203,7 @@ def test_criterion_7_worst_case_performance():
         7,
         ok,
         (
-            f"worst-case NotLinked sweep ({kernels.KERNEL} kernel): "
+            f"worst-case NotLinked sweep: "
             f"m=100 {t100 * 1000:.0f}ms (<1s), m=300 {t300:.1f}s (<30s), "
             f"doubling ratio {ratio:.1f} vs predicted {predicted:.1f} (allowed 4x)"
         ),

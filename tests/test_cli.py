@@ -223,6 +223,14 @@ class TestGraphFile:
         assert exc.value.line == 3
         assert message in str(exc.value)
 
+    def test_invalid_utf8_is_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"0 1\n# caf\xe9\n1 2\n")
+        with pytest.raises(ProfileSyntaxError) as exc:
+            cli._read_graph_file(str(path))
+        assert exc.value.line == 2
+        assert "invalid UTF-8" in str(exc.value)
+
     def test_gen_reports_the_line_and_exits_2(self, tmp_path, capsys):
         path = tmp_path / "g.edges"
         path.write_text("0 1\n0 99999999999\n")

@@ -91,3 +91,15 @@ class TestLinkedGraphs:
         a = gen_linked_graph(9, extra_edges=3, seed=11)
         b = gen_linked_graph(9, extra_edges=3, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("m, extra", [(50, 0), (50, 40), (8, 10), (8, 100)])
+    def test_extra_edge_count(self, m, extra):
+        # The build order gives 2m - 3 distinct edges; extras fill in up to K_m,
+        # drawn by rejection (few) or from the listed non-edges (most or all).
+        g = gen_linked_graph(m, extra_edges=extra, seed=5)
+        assert len(g.edges) == min(2 * m - 3 + extra, m * (m - 1) // 2)
+
+    def test_large_without_extras(self):
+        # Listing the ~2 * 10^8 non-edges here would take minutes and gigabytes.
+        g = gen_linked_graph(20_000, seed=1)
+        assert len(g.edges) == 2 * 20_000 - 3

@@ -1,74 +1,150 @@
-"""The seed-sweep kernel contract, and the compiled sweep agreeing with the pure one.
+"""The seed-sweep kernel contract in every degree regime, and its work on hub graphs.
 
-A kernel returns the first covering seed and writes the exact closure size
-of every seed it ran; a seed it skipped reads 0 and must lie inside the
-stuck set of an earlier seed it ran.
+The kernel returns the first covering seed and writes the exact closure
+size of every seed it decided; a seed it skipped reads 0 and must lie
+inside the stuck set of an earlier seed it ran. A vertex is heavy when its
+degree is at least kernels.heavy_cut(m), and the closure treats heavy and
+light vertices differently, so each property runs on graphs that are all
+heavy, all light, and mixed; the test checks from the degrees which one
+it got.
 """
 
-import numpy as np
-import pytest
-from hypothesis import given
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-from linkdomain import gen_pendant_clique, greedy_closure, kernels, recognize
-from linkdomain.kernels import COMPILED_AVAILABLE, pure
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linkdomain
+from linkdomain import ConnectivityGraph, gen_pendant_clique, greedy_closure, kernels, recognize
 
 from strategies import graphs_with_edges
 
-if COMPILED_AVAILABLE:
-    from linkdomain.kernels import _sweep as compiled
-else:
-    compiled = None
 
-
-def run(kernel, g):
+def run(g):
     indptr, indices = g.csr_arrays()
     seed_u, seed_v = g.seed_arrays()
-    sizes = np.zeros(len(g.edges), dtype=np.int32)
-    winner = kernel.sweep_seeds(indptr, indices, seed_u, seed_v, g.m, sizes)
+    sizes = [0] * len(g.edges)
+    winner = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, g.m, sizes)
     return winner, sizes
+
+
+def heavy_vertices(g) -> list[int]:
+    cut = kernels.heavy_cut(g.m)
+    return [v for v in range(g.m) if g.degree(v) >= cut]
+
+
+def assert_matches_ordered_closure(g) -> list[frozenset]:
+    """Check the kernel contract against greedy_closure; returns the closures of the seeds run."""
+    winner, sizes = run(g)
+    stop = len(g.edges) if winner < 0 else winner + 1
+    ran: list[tuple[int, frozenset]] = []
+    for i in range(stop):
+        a, b = g.edges[i]
+        if sizes[i]:
+            closure = frozenset(greedy_closure(g, (a, b)).reached)
+            assert sizes[i] == len(closure), (i, sizes[i], len(closure))
+            assert (len(closure) == g.m) == (i == winner)
+            ran.append((i, closure))
+        else:
+            # skipped: both ends inside the stuck set of an earlier seed that ran
+            assert any(j < i and len(c) < g.m and a in c and b in c for j, c in ran), i
+    return [c for _, c in ran]
 
 
 @given(graphs_with_edges(max_m=9))
 def test_pure_sweep_matches_ordered_closure(g):
-    winner, sizes = run(pure, g)
+    # Small graphs: every vertex with an edge is heavy.
+    cut = kernels.heavy_cut(g.m)
+    assert all(g.degree(v) >= cut for v in range(g.m) if g.degree(v))
+    winner, sizes = run(g)
     closures = [frozenset(greedy_closure(g, seed).reached) for seed in g.edges]
-    first_cover = next((i for i, c in enumerate(closures) if len(c) == g.m), -1)
-    assert winner == first_cover
-    # sizes are defined for every seed up to and including the winner
+    assert winner == next((i for i, c in enumerate(closures) if len(c) == g.m), -1)
     stop = len(g.edges) if winner < 0 else winner + 1
     for i in range(stop):
         if sizes[i]:
             assert sizes[i] == len(closures[i])
         else:
-            # skipped: subsumed by the stuck set of an earlier seed that ran
             assert any(
                 sizes[j] and len(closures[j]) < g.m and closures[i] <= closures[j]
                 for j in range(i)
             )
 
 
-@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled kernel not built")
-@given(graphs_with_edges(max_m=9))
-def test_compiled_sweep_matches_pure(g):
-    pure_winner, pure_sizes = run(pure, g)
-    fast_winner, fast_sizes = run(compiled, g)
-    assert fast_winner == pure_winner
-    # compare up to and including the winner, at the seeds the pure kernel ran
-    stop = len(g.edges) if pure_winner < 0 else pure_winner + 1
-    ran = [i for i in range(stop) if pure_sizes[i]]
-    assert fast_sizes[ran].tolist() == pure_sizes[ran].tolist()
+def _path_square(rng: random.Random, m: int) -> set[tuple[int, int]]:
+    """Edges of the square of a random path: each vertex joins the two before
+    it, so no degree exceeds 4. Each edge is left out with a probability drawn
+    per graph, which cuts the run of triangles into stuck pieces; with none
+    left out the graph is linked."""
+    order = list(range(m))
+    rng.shuffle(order)
+    miss = rng.choice([0.0, 0.003, 0.02, 0.1])
+    edges = set()
+    for i in range(1, m):
+        for j in range(max(0, i - 2), i):
+            if rng.random() >= miss:
+                edges.add((min(order[i], order[j]), max(order[i], order[j])))
+    return edges
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pure_sweep_matches_ordered_closure_all_light(seed):
+    rng = random.Random(seed)
+    m = rng.randint(320, 383)  # heavy_cut 5, so degree 4 is light
+    g = ConnectivityGraph(m, _path_square(rng, m))
+    assert kernels.heavy_cut(m) == 5 and not heavy_vertices(g)
+    assert_matches_ordered_closure(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pure_sweep_matches_ordered_closure_mixed(seed):
+    rng = random.Random(seed)
+    m = rng.randint(640, 760)  # heavy_cut 10 or 11
+    edges = _path_square(rng, m)
+    # A few hubs, each joined to a random sample: every other vertex gains at
+    # most one edge per hub and stays light.
+    hubs = rng.sample(range(m), rng.randint(1, 4))
+    for hub in hubs:
+        for v in rng.sample(range(m), rng.randint(kernels.heavy_cut(m) + 1, 60)):
+            if v != hub:
+                edges.add((min(hub, v), max(hub, v)))
+    g = ConnectivityGraph(m, edges)
+    heavy = heavy_vertices(g)
+    assert heavy and set(heavy) <= set(hubs)
+    assert any(g.degree(v) for v in range(m) if v not in heavy)
+    assert_matches_ordered_closure(g)
+
+
+def test_mixed_closures_absorb_heavy_and_light_vertices():
+    # The mixed property above could in principle only ever meet stuck sets
+    # that avoid the hubs; this fixed graph has a hub inside a run of
+    # triangles, so seeds grow through both kinds of vertex.
+    m = 700
+    edges = {(i, i + 1) for i in range(1, m - 1)} | {(i, i + 2) for i in range(1, m - 2)}
+    edges |= {(0, v) for v in range(5, m, 7)}  # hub 0, degree 99
+    g = ConnectivityGraph(m, edges - {(300, 301), (300, 302), (299, 301)})
+    assert heavy_vertices(g) == [0]
+    closures = assert_matches_ordered_closure(g)
+    assert any(0 in c and len(c) > 100 for c in closures)
 
 
 @pytest.mark.parametrize("m", [100, 300])
 def test_pendant_clique_runs_two_seeds(monkeypatch, m):
     # Seed (0, 1) sticks at the whole clique, which holds every later seed
-    # but the pendant edge (0, m-1); that one sticks at itself. Criterion 7
-    # rests on this count, not on the clock.
+    # but the pendant edge (0, m-1); that one has no common neighbor and is
+    # written as a stuck pair. Criterion 7 rests on this count, not on the clock.
     written = []
+    sweep = kernels.sweep_seeds
 
     def recording_sweep(*args):
         written.append(args[5])  # sizes_out
-        return pure.sweep_seeds(*args)
+        return sweep(*args)
 
     monkeypatch.setattr(kernels, "sweep_seeds", recording_sweep)
     g = gen_pendant_clique(m)
@@ -76,16 +152,93 @@ def test_pendant_clique_runs_two_seeds(monkeypatch, m):
     assert not result.linked
     assert len(result.certificate) == len(g.edges)
     (sizes,) = written
-    assert sorted(sizes[sizes != 0].tolist()) == [2, m - 1]
+    assert sorted(size for size in sizes if size) == [2, m - 1]
 
 
 def test_sweep_handles_no_seeds():
-    import linkdomain
-
-    g = linkdomain.ConnectivityGraph(3, [(0, 1)])
-    empty = np.empty(0, dtype=np.int32)
-    sizes = np.empty(0, dtype=np.int32)
+    g = ConnectivityGraph(3, [(0, 1)])
     indptr, indices = g.csr_arrays()
-    assert pure.sweep_seeds(indptr, indices, empty, empty, g.m, sizes) == -1
-    if COMPILED_AVAILABLE:
-        assert compiled.sweep_seeds(indptr, indices, empty, empty, g.m, sizes) == -1
+    assert kernels.sweep_seeds(indptr, indices, [], [], g.m, []) == -1
+
+
+def test_single_edge_wins_without_a_closure():
+    g = ConnectivityGraph(2, [(0, 1)])
+    assert run(g) == (0, [2])
+
+
+def windmill2(k: int) -> ConnectivityGraph:
+    """The two-hub windmill W2_k: triangles {r, a_i, b_i} plus an edge b_i - r'.
+
+    2-connected and not linked; each closure C(r a_i) = {r, a_i, b_i} is its
+    own stuck set, so no seed is subsumed by another's. Labels: r = 0,
+    a_i = 2i + 1, b_i = 2i + 2, r' = 2k + 1.
+    """
+    r, r2 = 0, 2 * k + 1
+    edges = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(r, a), (r, b), (a, b), (b, r2)]
+    return ConnectivityGraph(2 * k + 2, edges)
+
+
+def complete_bipartite(n: int) -> ConnectivityGraph:
+    return ConnectivityGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+
+
+def _best_recognize_seconds(build, repeats: int = 3) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        g = build()
+        start = time.process_time()
+        result = recognize(g)
+        best = min(best, time.process_time() - start)
+        assert not result.linked
+    return best
+
+
+def test_hub_families_envelope():
+    # Before the degree split these took about 29 s and 0.75 s: every seed
+    # scanned a hub's whole adjacency.
+    w2 = _best_recognize_seconds(lambda: windmill2(8000), repeats=2)
+    knn = _best_recognize_seconds(lambda: complete_bipartite(150))
+    assert w2 < 1.0, f"W2 k=8000 took {w2:.3f} s"
+    assert knn < 0.1, f"K150,150 took {knn:.3f} s"
+
+
+class CountingList(list):
+    """A list that counts the entries its __getitem__ returns."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self.read += len(value) if isinstance(key, slice) else 1
+        return value
+
+
+def _windmill_entries_read(k: int) -> int:
+    g = windmill2(k)
+    indptr, indices = g.csr_arrays()
+    counting = CountingList(indices)
+    seed_u, seed_v = g.seed_arrays()
+    sizes = [0] * len(g.edges)
+    assert kernels.sweep_seeds(indptr, counting, seed_u, seed_v, g.m, sizes) == -1
+    return counting.read
+
+
+def test_windmill_adjacency_reads_grow_linearly():
+    # A sweep that scans the hub r for every seed reads Θ(k²) entries: 64x
+    # from k=1000 to k=8000. Masks keep it to the light ends and one read
+    # of each heavy adjacency.
+    small, large = _windmill_entries_read(1000), _windmill_entries_read(8000)
+    assert large <= 8 * small * 1.1, (small, large)
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(linkdomain.__file__).resolve().parents[1])
+    code = "import sys, linkdomain, linkdomain.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -76,6 +76,16 @@ class TestParseNative:
         e = parse_native(b"candidates: a, b\n1: a > b\n")
         assert e.n == 1
 
+    def test_multiplicity_too_long_for_int(self):
+        with pytest.raises(ProfileSyntaxError) as exc:
+            parse_native("candidates: a\n" + "1" * 5000 + ": a\n")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert "more than 4300 digits" in str(exc.value)
+
+    def test_multiplicity_leading_zeros_do_not_count(self):
+        e = parse_native("candidates: a\n" + "0" * 5000 + "3: a\n")
+        assert e.n == 3
+
 
 class TestParsePreflib:
     def test_minimal(self):
@@ -141,6 +151,36 @@ class TestParsePreflib:
     def test_non_integer_id(self):
         with pytest.raises(ProfileSyntaxError):
             parse_preflib_soc("# NUMBER ALTERNATIVES: 2\n1: 1,x\n")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n{big}: 2,1\n", ProfileSyntaxError),
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n1: 2,{big}\n", InconsistentMetadata),
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n1: 2,-{big}\n", InconsistentMetadata),
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME {big}: x\n", InconsistentMetadata),
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n# NUMBER VOTERS: {big}\n", ProfileSyntaxError),
+            ("# TITLE: t\n# NUMBER ALTERNATIVES: 2\n# NUMBER ALTERNATIVES: {big}\n", UnsupportedProfile),
+        ],
+    )
+    def test_numbers_too_long_for_int_raise_with_their_line(self, text, error):
+        with pytest.raises(error) as exc:
+            parse_preflib_soc(text.format(big="7" * 5000))
+        assert exc.value.line == 3
+        assert "more than 4300 digits" in str(exc.value)
+
+    def test_voter_total_too_long_to_print(self):
+        big = "9" * 4300
+        with pytest.raises(InconsistentMetadata, match="sum to more than 4300 digits"):
+            parse_preflib_soc(f"# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: 1\n{big}: 1,2\n{big}: 2,1\n")
+
+    def test_long_numbers_with_leading_zeros_are_read(self):
+        zeros = "0" * 5000
+        e = parse_preflib_soc(
+            f"# NUMBER ALTERNATIVES: {zeros}2\n# NUMBER VOTERS: {zeros}3\n"
+            f"# ALTERNATIVE NAME {zeros}1: x\n{zeros}3: {zeros}1,2\n"
+        )
+        assert (e.m, e.n, e.names[0]) == (2, 3, "x")
 
 
 class TestWriteNative:
