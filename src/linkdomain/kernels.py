@@ -20,12 +20,14 @@ int, and the same bits as bytes for O(1) membership tests), so absorbing
 it costs O(m / 64) word operations in C instead of a Python-level scan of
 its adjacency, while light vertices keep adjacency lists and per-seed
 epoch stamps. Masks take O(H * m / 8) bytes for H heavy vertices; since
-H <= 2|E| / heavy_cut(m), that is O(|E|). With no heavy vertex the
-closure is the plain list loop. The closure is order-insensitive
+H <= 2|E| / heavy_cut(m), that is O(|E|). A closure runs the plain list
+loop until it absorbs a heavy vertex, so a seed that never meets one does
+no bitset work. The closure is order-insensitive
 (absorbing a vertex never lowers another vertex's count), so the FIFO
 worklist reaches the same set as any other tie-break.
 """
 
+from itertools import chain
 from operator import sub
 
 _HEAVY_DIVISOR = 64
@@ -53,10 +55,11 @@ def sweep_seeds(
     returned index are left untouched. Per-seed state is reset with an
     epoch stamp instead of clearing lists, so a seed costs O(vertices it
     touches), plus O(m / 8) bytes of bitset work per heavy vertex it absorbs
-    and, in a graph with heavy vertices, per seed run; the adjacency is read
-    only by slicing `indices`. A seed that passes the filter absorbs the
-    common neighbor, so every seed run sticks at three or more vertices,
-    and its stuck set is recorded for the subsumption test.
+    and once more for the first (a seed that absorbs no heavy vertex does
+    no bitset work); the adjacency is read only by slicing `indices`. A
+    seed that passes the filter absorbs the common neighbor, so every seed
+    run sticks at three or more vertices, and its stuck set is recorded for
+    the subsumption test.
     """
     ptr = indptr
     cut = heavy_cut(m)
@@ -101,31 +104,23 @@ def sweep_seeds(
         if rows:
             queue, member_bits = _grow_mixed(a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes)
         else:
-            queue = _grow_light(a, b, one, mem, ptr, indices, stamp)
+            queue, member_bits = _grow_light(a, b, one, mem, ptr, indices, stamp), None
         size = len(queue)
         sizes_out[s] = size
         if size == m:
             return s
         # Record the stuck set's inner edges: light members scan their
-        # adjacency; heavy ones read N[v] & P from the masks, or, when the
-        # set has at most m / 64 members, test each against their row (the
-        # same trade as the heavy cut: a Python step per member against
-        # O(m) bit work in C).
-        reached = int.from_bytes(member_bits, "little") if rows and size * _HEAVY_DIVISOR > m else 0
+        # adjacency, heavy ones read N[v] & P from the masks.
+        reached = int.from_bytes(member_bits, "little") if member_bits is not None else 0
         for v in queue:
             base = v * m
-            if not masks[v]:
-                for w in indices[ptr[v] : ptr[v + 1]]:
-                    if w > v and stamp[w] == mem:
-                        subsumed.add(base + w)
-            elif reached:
+            if masks[v]:
                 higher = v + 1
                 for w in _bits((masks[v] & reached) >> higher):
                     subsumed.add(base + higher + w)
             else:
-                row = rows[v]
-                for w in queue:
-                    if w > v and row[w >> 3] >> (w & 7) & 1:
+                for w in indices[ptr[v] : ptr[v + 1]]:
+                    if w > v and stamp[w] == mem:
                         subsumed.add(base + w)
     return -1
 
@@ -145,26 +140,51 @@ def _grow_light(a, b, one, mem, ptr, indices, stamp) -> list[int]:
     return queue
 
 
-def _grow_mixed(a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes) -> tuple[list[int], bytearray]:
-    """Closure of seed (a, b) with heavy vertices: (absorption order, member bitset).
+def _grow_mixed(
+    a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes
+) -> tuple[list[int], bytearray | None]:
+    """Closure of seed (a, b) in a graph with heavy vertices: (absorption
+    order, member bitset, or None when no heavy vertex was absorbed).
 
-    `once` is the union of the absorbed heavy vertices' neighborhoods, and
-    `light1` the bitset of vertices with an absorbed light neighbor. A
+    Until the closure absorbs its first heavy vertex this is the plain list
+    loop, so a seed that never meets a hub pays no bitset work. From then
+    on, `once` is the union of the absorbed heavy vertices' neighborhoods,
+    and `light1` the bitset of vertices with an absorbed light neighbor. A
     light vertex's neighbor w joins on its second light neighbor, or on its
     first when it is in `once`. A heavy vertex h brings in, by mask, every
     non-member neighbor that already had another absorbed neighbor: heavy
     (in `once`) or light (in `light1`).
     """
-    members = bytearray(nbytes)
-    light1 = bytearray(nbytes)
-    any_light = False  # whether light1 may be nonempty
-    once = 0
-    once_row = bytes(nbytes)  # `once` as bytes, for O(1) membership tests
-    members[a >> 3] |= 1 << (a & 7)
-    members[b >> 3] |= 1 << (b & 7)
     queue = [a, b]
     push = queue.append
-    for v in queue:
+    touched = []  # vertices given a first light neighbor, for light1
+    touch = touched.append
+    absorbed = iter(queue)  # sees the vertices pushed while it runs
+    for v in absorbed:
+        if masks[v]:
+            break
+        for w in indices[ptr[v] : ptr[v + 1]]:
+            t = stamp[w]
+            if t == one:
+                stamp[w] = mem
+                push(w)
+            elif t != mem:
+                stamp[w] = one
+                touch(w)
+    else:
+        return queue, None
+    # v is the first heavy vertex: build the bitsets from the light phase
+    # (light1 may hold members; its use masks them out).
+    members = bytearray(nbytes)
+    light1 = bytearray(nbytes)
+    for w in queue:
+        members[w >> 3] |= 1 << (w & 7)
+    any_light = bool(touched)  # whether light1 may be nonempty
+    for w in touched:
+        light1[w >> 3] |= 1 << (w & 7)
+    once = 0
+    once_row = bytes(nbytes)  # `once` as bytes, for O(1) membership tests
+    for v in chain((v,), absorbed):
         mask = masks[v]
         if mask:
             ready = once | int.from_bytes(light1, "little") if any_light else once

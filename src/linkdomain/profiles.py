@@ -22,6 +22,7 @@ package error hierarchy; every failure carries a line number.
 """
 
 import re
+import unicodedata
 
 from .errors import (
     InconsistentMetadata,
@@ -38,6 +39,7 @@ _RESERVED = (",", ">", "\n", "\r")
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
 _MAX_DIGITS = 4300  # the longest decimal string int() converts by default
+_INT_RE = re.compile(r"([+-]?)(\d+(?:_\d+)*)")  # what int() reads, once stripped
 
 
 def _decode(text: str | bytes) -> str:
@@ -51,8 +53,11 @@ def _decode(text: str | bytes) -> str:
 
 
 def _decimal(digits: str) -> int | None:
-    """The value of a string of decimal digits, or None when it has more than
-    _MAX_DIGITS significant digits, where int() would raise ValueError."""
+    """The value of a string of decimal digits of any script, or None when it
+    has more than _MAX_DIGITS significant digits, where int() would raise
+    ValueError."""
+    if not digits.isascii():
+        digits = "".join(str(unicodedata.decimal(c)) for c in digits)
     digits = digits.lstrip("0") or "0"
     return int(digits) if len(digits) <= _MAX_DIGITS else None
 
@@ -181,14 +186,14 @@ def parse_preflib_soc(text: str | bytes) -> Election:
             key, index, value = match.group(1).strip(), match.group(2), match.group(3)
             if key == "NUMBER ALTERNATIVES" and not index:
                 declared = _meta_int(key, value, line_no)
-                if declared is None:
-                    raise UnsupportedProfile(
-                        f"NUMBER ALTERNATIVES has more than {_MAX_DIGITS} digits, beyond the supported size",
-                        line=line_no,
-                    )
+                shown = f"a number of more than {_MAX_DIGITS} digits" if declared is None else declared
                 if m is not None and declared != m:
                     raise InconsistentMetadata(
-                        f"NUMBER ALTERNATIVES redeclared as {declared}, was {m}", line=line_no
+                        f"NUMBER ALTERNATIVES redeclared as {shown}, was {m}", line=line_no
+                    )
+                if declared is None:
+                    raise UnsupportedProfile(
+                        f"NUMBER ALTERNATIVES is {shown}, beyond the supported size", line=line_no
                     )
                 if declared > 1_000_000:
                     raise UnsupportedProfile(
@@ -294,12 +299,16 @@ def parse_preflib_soc(text: str | bytes) -> Election:
 
 
 def _meta_int(key: str, value: str, line_no: int) -> int | None:
-    """A metadata value as int() reads it, or None for a string of more than
-    _MAX_DIGITS significant digits. ProfileSyntaxError for anything else."""
-    try:
-        return _decimal(value) if value.isascii() and value.isdigit() else int(value)
-    except ValueError:
-        raise ProfileSyntaxError(f"{key} is not an integer: {value!r}", line=line_no) from None
+    """A metadata value as int() reads it (a sign, then digits of any script,
+    maybe grouped by underscores), or None when it has more than _MAX_DIGITS
+    significant digits, whatever its sign or script. ProfileSyntaxError for
+    anything int() rejects."""
+    match = _INT_RE.fullmatch(value.strip())
+    if match is None:
+        raise ProfileSyntaxError(f"{key} is not an integer: {value!r}", line=line_no)
+    sign, digits = match.groups()
+    number = _decimal(digits.replace("_", ""))
+    return -number if number is not None and sign == "-" else number
 
 
 def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:

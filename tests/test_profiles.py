@@ -160,7 +160,13 @@ class TestParsePreflib:
             ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n1: 2,-{big}\n", InconsistentMetadata),
             ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME {big}: x\n", InconsistentMetadata),
             ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n# NUMBER VOTERS: {big}\n", ProfileSyntaxError),
-            ("# TITLE: t\n# NUMBER ALTERNATIVES: 2\n# NUMBER ALTERNATIVES: {big}\n", UnsupportedProfile),
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n# NUMBER VOTERS: +{big}\n", ProfileSyntaxError),
+            ("# NUMBER ALTERNATIVES: 2\n1: 1,2\n# NUMBER VOTERS: -{big}\n", ProfileSyntaxError),
+            ("# TITLE: t\n# NUMBER VOTERS: 1\n# NUMBER ALTERNATIVES: {big}\n", UnsupportedProfile),
+            ("# TITLE: t\n# NUMBER VOTERS: 1\n# NUMBER ALTERNATIVES: +{big}\n", UnsupportedProfile),
+            # a redeclaration is inconsistent however long the new value is
+            ("# TITLE: t\n# NUMBER ALTERNATIVES: 2\n# NUMBER ALTERNATIVES: {big}\n", InconsistentMetadata),
+            ("# TITLE: t\n# NUMBER ALTERNATIVES: 2\n# NUMBER ALTERNATIVES: -{big}\n", InconsistentMetadata),
         ],
     )
     def test_numbers_too_long_for_int_raise_with_their_line(self, text, error):
@@ -168,6 +174,21 @@ class TestParsePreflib:
             parse_preflib_soc(text.format(big="7" * 5000))
         assert exc.value.line == 3
         assert "more than 4300 digits" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["\u0667" * 5000, "-" + "\u0667" * 5000, "1_" * 4400 + "1"],
+        ids=["arabic", "signed-arabic", "grouped"],
+    )
+    def test_metadata_numbers_too_long_in_any_spelling(self, value):
+        # int() reads these spellings too, and refuses them by length alone
+        with pytest.raises(ProfileSyntaxError, match="NUMBER VOTERS has more than 4300 digits") as exc:
+            parse_preflib_soc(f"# NUMBER ALTERNATIVES: 1\n1: 1\n# NUMBER VOTERS: {value}\n")
+        assert exc.value.line == 3
+
+    def test_metadata_numbers_read_like_int(self):
+        e = parse_preflib_soc("# NUMBER ALTERNATIVES: +\u0662\n# NUMBER VOTERS: 0_0_3\n3: 1,2\n")
+        assert (e.m, e.n) == (2, 3)
 
     def test_voter_total_too_long_to_print(self):
         big = "9" * 4300
