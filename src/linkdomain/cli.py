@@ -26,6 +26,7 @@ from .profiles import _decode, parse_native, parse_preflib_soc, write_native
 from .recognize import RecognitionResult, recognize, verify_witness
 
 MAX_GRAPH_VERTICES = 1_000_000  # as many as parse_preflib_soc accepts alternatives
+MAX_VOTE_DIGITS = 4300  # the report prints the vote total; str() refuses longer ints
 
 
 def _load_election(path: str, fmt: str) -> Election:
@@ -33,27 +34,24 @@ def _load_election(path: str, fmt: str) -> Election:
     return parse_native(data) if fmt == "native" else parse_preflib_soc(data)
 
 
-def _check_pipeline(election: Election, mode: Mode) -> tuple[RecognitionResult, ConnectivityGraph | None, float]:
+def _check_pipeline(election: Election, mode: Mode) -> tuple[RecognitionResult, ConnectivityGraph, float]:
     start = time.perf_counter()
-    if election.m == 1:
-        result = RecognitionResult(linked=True, witness=(0,))
-        graph = None
-    else:
-        graph = build_graph(election, mode)
-        result = recognize(graph)
+    graph = build_graph(election, mode)
+    result = recognize(graph)
     return result, graph, (time.perf_counter() - start) * 1000.0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     election = _load_election(args.path, args.format)
+    if election.n >= 10**MAX_VOTE_DIGITS:
+        raise LinkDomainError(f"vote total has more than {MAX_VOTE_DIGITS} digits")
     mode = Mode(args.mode)
     result, graph, elapsed_ms = _check_pipeline(election, mode)
     names = election.names
-    edge_count = len(graph.edges) if graph is not None else 0
+    edge_count = len(graph.edges)
 
     if args.graph_out:
-        dot_graph = graph if graph is not None else ConnectivityGraph(1, [])
-        Path(args.graph_out).write_text(export_dot(dot_graph, names), encoding="utf-8")
+        Path(args.graph_out).write_text(export_dot(graph, names), encoding="utf-8")
 
     if args.json:
         report = {
@@ -76,7 +74,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if result.linked:
             print("verdict:    LINKED")
             print("witness:    " + " > ".join(names[c] for c in result.witness))
-            if args.witness and graph is not None:
+            if args.witness:
                 ok = verify_witness(graph, result.witness)
                 print(f"witness check: {'valid' if ok else 'INVALID'}")
         else:
@@ -189,8 +187,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"profile has {election.m} candidates, oracle capped at {args.cap}"
         )
     result, graph, _ = _check_pipeline(election, Mode(args.mode))
-    if graph is None:
-        graph = ConnectivityGraph(1, [])
     oracle_verdict, _ = brute_force_linked(graph, cap=args.cap)
     if result.linked == oracle_verdict:
         print(f"AGREE: {'linked' if result.linked else 'not linked'}")

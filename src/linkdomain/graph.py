@@ -31,7 +31,7 @@ class ConnectivityGraph:
     vertex count and edge set (mode is provenance, not structure).
     """
 
-    __slots__ = ("m", "mode", "edges", "edge_set", "adjacency", "_csr")
+    __slots__ = ("m", "mode", "edges", "edge_set", "adjacency")
 
     def __init__(self, m: int, edges: Iterable[Edge], mode: Mode | None = None):
         if m < 1:
@@ -54,7 +54,6 @@ class ConnectivityGraph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(ns)) for ns in neighbors
         )
-        self._csr: tuple[list[int], list[int]] | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -66,11 +65,9 @@ class ConnectivityGraph:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
     def csr_arrays(self) -> tuple[list[int], list[int]]:
-        """Adjacency in CSR form (indptr, indices) as lists, cached."""
-        if self._csr is None:
-            indptr = list(accumulate(map(len, self.adjacency), initial=0))
-            self._csr = (indptr, list(chain.from_iterable(self.adjacency)))
-        return self._csr
+        """Adjacency in CSR form (indptr, indices) as lists, built on each call."""
+        indptr = list(accumulate(map(len, self.adjacency), initial=0))
+        return indptr, list(chain.from_iterable(self.adjacency))
 
     def seed_arrays(self) -> tuple[list[int], list[int]]:
         """Edge endpoints as parallel lists (lower end, higher end), in ascending edge order."""
@@ -103,9 +100,10 @@ def build_graph(election: Election, mode: Mode = Mode.STRONG) -> ConnectivityGra
     Weak: edge {a, b} iff at least one of them occurs.
 
     Depends only on the set of top pairs, so vote order and multiplicities
-    never matter. O(n + m^2) regardless of how many votes there are.
+    never matter. O(n + m^2) regardless of how many votes there are. A
+    one-candidate election has no top pairs and gives the one-vertex graph.
     """
-    pairs = top_pair_set(election)
+    pairs = top_pair_set(election) if election.m > 1 else frozenset()
     if mode is Mode.STRONG:
         edges = [(a, b) for a, b in pairs if a < b and (b, a) in pairs]
     else:

@@ -20,11 +20,12 @@ int, and the same bits as bytes for O(1) membership tests), so absorbing
 it costs O(m / 64) word operations in C instead of a Python-level scan of
 its adjacency, while light vertices keep adjacency lists and per-seed
 epoch stamps. Masks take O(H * m / 8) bytes for H heavy vertices; since
-H <= 2|E| / heavy_cut(m), that is O(|E|). A closure runs the plain list
-loop until it absorbs a heavy vertex, so a seed that never meets one does
-no bitset work. The closure is order-insensitive
-(absorbing a vertex never lowers another vertex's count), so the FIFO
-worklist reaches the same set as any other tie-break.
+H <= 2|E| / heavy_cut(m), that is O(|E|). One grow routine serves every
+graph: a closure runs the plain list loop until it absorbs its first heavy
+vertex (in a graph with none, to the end), so a seed that never meets one
+does no bitset work. The closure is order-insensitive (absorbing a vertex
+never lowers another vertex's count), so the FIFO worklist reaches the
+same set as any other tie-break.
 """
 
 from itertools import chain
@@ -55,8 +56,9 @@ def sweep_seeds(
     returned index are left untouched. Per-seed state is reset with an
     epoch stamp instead of clearing lists, so a seed costs O(vertices it
     touches), plus O(m / 8) bytes of bitset work per heavy vertex it absorbs
-    and once more for the first (a seed that absorbs no heavy vertex does
-    no bitset work); the adjacency is read only by slicing `indices`. A
+    and once more for the first, when it also rereads the adjacency of the
+    light vertices absorbed before it (a seed that absorbs no heavy vertex
+    does no bitset work); the adjacency is read only by slicing `indices`. A
     seed that passes the filter absorbs the common neighbor, so every seed
     run sticks at three or more vertices, and its stuck set is recorded for
     the subsumption test.
@@ -101,10 +103,7 @@ def sweep_seeds(
         one = 2 * s
         mem = one + 1
         stamp[a] = stamp[b] = mem
-        if rows:
-            queue, member_bits = _grow_mixed(a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes)
-        else:
-            queue, member_bits = _grow_light(a, b, one, mem, ptr, indices, stamp), None
+        queue, member_bits = _grow(a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes)
         size = len(queue)
         sizes_out[s] = size
         if size == m:
@@ -125,26 +124,11 @@ def sweep_seeds(
     return -1
 
 
-def _grow_light(a, b, one, mem, ptr, indices, stamp) -> list[int]:
-    """Closure of seed (a, b) in a graph with no heavy vertex, in absorption order."""
-    queue = [a, b]
-    push = queue.append
-    for v in queue:
-        for w in indices[ptr[v] : ptr[v + 1]]:
-            t = stamp[w]
-            if t == one:
-                stamp[w] = mem
-                push(w)
-            elif t != mem:
-                stamp[w] = one
-    return queue
-
-
-def _grow_mixed(
+def _grow(
     a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes
 ) -> tuple[list[int], bytearray | None]:
-    """Closure of seed (a, b) in a graph with heavy vertices: (absorption
-    order, member bitset, or None when no heavy vertex was absorbed).
+    """Closure of seed (a, b): (absorption order, member bitset, or None
+    when no heavy vertex was absorbed).
 
     Until the closure absorbs its first heavy vertex this is the plain list
     loop, so a seed that never meets a hub pays no bitset work. From then
@@ -157,8 +141,6 @@ def _grow_mixed(
     """
     queue = [a, b]
     push = queue.append
-    touched = []  # vertices given a first light neighbor, for light1
-    touch = touched.append
     absorbed = iter(queue)  # sees the vertices pushed while it runs
     for v in absorbed:
         if masks[v]:
@@ -170,18 +152,21 @@ def _grow_mixed(
                 push(w)
             elif t != mem:
                 stamp[w] = one
-                touch(w)
     else:
         return queue, None
-    # v is the first heavy vertex: build the bitsets from the light phase
-    # (light1 may hold members; its use masks them out).
+    # v is the first heavy vertex, and the vertices before it the light ones
+    # scanned so far: light1 starts as their neighbors stamped `one` (it may
+    # later hold members; its use masks them out).
     members = bytearray(nbytes)
     light1 = bytearray(nbytes)
     for w in queue:
         members[w >> 3] |= 1 << (w & 7)
-    any_light = bool(touched)  # whether light1 may be nonempty
-    for w in touched:
-        light1[w >> 3] |= 1 << (w & 7)
+    scanned = queue.index(v)
+    for u in queue[:scanned]:
+        for w in indices[ptr[u] : ptr[u + 1]]:
+            if stamp[w] == one:
+                light1[w >> 3] |= 1 << (w & 7)
+    any_light = scanned > 0  # whether light1 may be nonempty
     once = 0
     once_row = bytes(nbytes)  # `once` as bytes, for O(1) membership tests
     for v in chain((v,), absorbed):

@@ -164,8 +164,6 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     """
     if graph.m == 1:
         return RecognitionResult(linked=True, witness=(0,))
-    if not graph.edges:
-        return RecognitionResult(linked=False, certificate=StuckCertificate(graph, ()))
 
     indptr, indices = graph.csr_arrays()
     seed_u, seed_v = graph.seed_arrays()
@@ -181,7 +179,6 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
 
 
 def recognize_election(election: Election, mode: Mode = Mode.STRONG) -> RecognitionResult:
-    """Build the connectivity graph for the mode and recognize it."""
-    if election.m == 1:
-        return RecognitionResult(linked=True, witness=(0,))
+    """Build the connectivity graph for the mode and recognize it (a
+    one-candidate election gives the one-vertex graph, linked by convention)."""
     return recognize(build_graph(election, mode))

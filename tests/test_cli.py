@@ -28,6 +28,13 @@ def k3_path(tmp_path):
 
 
 @pytest.fixture
+def one_path(tmp_path):
+    path = tmp_path / "one.profile"
+    path.write_text("candidates: a\n3: a\n")
+    return str(path)
+
+
+@pytest.fixture
 def path_profile(tmp_path):
     path = tmp_path / "edge.profile"
     path.write_text(SINGLE_EDGE_PROFILE)
@@ -101,12 +108,30 @@ class TestCheck:
         assert main(["check", str(path), "--format", "soc"]) == 0
         assert "LINKED" in capsys.readouterr().out
 
-    def test_single_candidate_profile(self, tmp_path, capsys):
-        path = tmp_path / "one.profile"
-        path.write_text("candidates: a\n3: a\n")
-        assert main(["check", str(path)]) == 0
+    def test_single_candidate_profile(self, one_path, capsys):
+        assert main(["check", one_path, "--witness"]) == 0
         out = capsys.readouterr().out
-        assert "witness:    a" in out
+        assert "witness:    a\nwitness check: valid\n" in out
+
+    def test_single_candidate_json_and_dot(self, one_path, tmp_path, capsys):
+        dot_path = tmp_path / "one.dot"
+        assert main(["check", one_path, "--json", "--graph-out", str(dot_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["edges"] == 0 and report["witness"] == ["a"]
+        assert dot_path.read_text() == 'graph {\n  "a";\n}\n'
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_vote_total_beyond_str_limit(self, tmp_path, capsys, flags):
+        # Two lines of 4300 nines parse, but their sum has 4301 digits: more
+        # than Python converts to text by default. Nothing may be written.
+        path = tmp_path / "huge.profile"
+        path.write_text("candidates: a, b\n" + ("9" * 4300 + ": a > b\n") * 2)
+        dot_path = tmp_path / "huge.dot"
+        assert main(["check", str(path), "--graph-out", str(dot_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: vote total has more than 4300 digits" in captured.err
+        assert not dot_path.exists()
 
 
 class TestGen:
@@ -159,6 +184,10 @@ class TestOracle:
     def test_agree_not_linked(self, path_profile, capsys):
         assert main(["oracle", path_profile]) == 0
         assert capsys.readouterr().out.strip() == "AGREE: not linked"
+
+    def test_agree_single_candidate(self, one_path, capsys):
+        assert main(["oracle", one_path]) == 0
+        assert capsys.readouterr().out.strip() == "AGREE: linked"
 
     def test_cap_exceeded(self, tmp_path, capsys):
         profile = tmp_path / "big.profile"

@@ -50,6 +50,10 @@ class TestBuildGraph:
         e = make(3, [(0, 1, 2), (2, 1, 0)])
         assert build_graph(e, Mode.WEAK).edges == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_single_candidate_gives_one_vertex(self, mode):
+        assert build_graph(make(1, [(0,)]), mode) == ConnectivityGraph(1, [])
+
     def test_mode_recorded(self):
         e = make(2, [(0, 1)])
         assert build_graph(e, Mode.WEAK).mode is Mode.WEAK
