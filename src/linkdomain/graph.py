@@ -28,10 +28,10 @@ class ConnectivityGraph:
 
     Adjacency lists are sorted and symmetric; edges are normalized to
     (u, v) with u < v and kept in ascending order. Equality compares the
-    vertex count and edge set (mode is provenance, not structure).
+    vertex count and edges (mode is provenance, not structure).
     """
 
-    __slots__ = ("m", "mode", "edges", "edge_set", "adjacency")
+    __slots__ = ("m", "mode", "edges", "adjacency")
 
     def __init__(self, m: int, edges: Iterable[Edge], mode: Mode | None = None):
         if m < 1:
@@ -46,14 +46,12 @@ class ConnectivityGraph:
         self.m = m
         self.mode = mode
         self.edges: tuple[Edge, ...] = tuple(sorted(normalized))
-        self.edge_set: frozenset[Edge] = frozenset(self.edges)
         neighbors: list[list[int]] = [[] for _ in range(m)]
+        # Ascending edges append each row's entries in ascending order.
         for u, v in self.edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(ns)) for ns in neighbors
-        )
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, neighbors))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -62,7 +60,7 @@ class ConnectivityGraph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return 0 <= u < self.m and v in self.adjacency[u]
 
     def csr_arrays(self) -> tuple[list[int], list[int]]:
         """Adjacency in CSR form (indptr, indices) as lists, built on each call."""
@@ -76,10 +74,10 @@ class ConnectivityGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConnectivityGraph):
             return NotImplemented
-        return self.m == other.m and self.edge_set == other.edge_set
+        return self.m == other.m and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.m, self.edge_set))
+        return hash((self.m, self.edges))
 
     def __repr__(self) -> str:
         mode = f", mode={self.mode.value}" if self.mode else ""

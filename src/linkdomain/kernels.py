@@ -1,11 +1,12 @@
 """Seed sweep: the 2-neighbor closure from every seed edge, in pure Python.
 
 Kernel contract, sweep_seeds(indptr, indices, seed_u, seed_v, m, sizes_out)
--> winner, on plain lists (CSR adjacency, parallel seed endpoint lists,
+-> order, on plain lists (CSR adjacency, parallel seed endpoint lists,
 and sizes_out with one slot per seed):
 
-- the winner is the index of the first seed, in the given order, whose
-  closure covers all m vertices, or -1 when none does;
+- order is the absorption order of the first seed, in the given order,
+  whose closure covers all m vertices (a linked order: each vertex after
+  the seed joined with two neighbors in), or None when none does;
 - for every seed up to the winner, sizes_out[s] is the exact closure size
   when the kernel decided the seed, and 0 when it skipped it as subsumed
   (both ends inside the stuck set of an earlier seed it ran, so its closure
@@ -46,22 +47,22 @@ def sweep_seeds(
     seed_v: list[int],
     m: int,
     sizes_out: list[int],
-) -> int:
+) -> list[int] | None:
     """Run the 2-neighbor closure from every seed edge in order, skipping subsumed ones.
 
     Writes the reached-set size of seed s into sizes_out[s], or 0 when the
-    seed lies inside an earlier seed's stuck set and was not run, and
-    stops at the first seed whose closure covers all m vertices, returning
-    its index; returns -1 when every seed gets stuck. Entries after the
-    returned index are left untouched. Per-seed state is reset with an
-    epoch stamp instead of clearing lists, so a seed costs O(vertices it
-    touches), plus O(m / 8) bytes of bitset work per heavy vertex it absorbs
-    and once more for the first, when it also rereads the adjacency of the
-    light vertices absorbed before it (a seed that absorbs no heavy vertex
-    does no bitset work); the adjacency is read only by slicing `indices`. A
-    seed that passes the filter absorbs the common neighbor, so every seed
-    run sticks at three or more vertices, and its stuck set is recorded for
-    the subsumption test.
+    seed lies inside an earlier seed's stuck set and was not run, and stops
+    at the first seed whose closure covers all m vertices, returning its
+    absorption order (the seed's two ends first); returns None when every
+    seed gets stuck. Entries after the winner are left untouched. Per-seed
+    state is reset with an epoch stamp instead of clearing lists, so a seed
+    costs O(vertices it touches), plus O(m / 8) bytes of bitset work per
+    heavy vertex it absorbs and once more for the first, when it also
+    rereads the adjacency of the light vertices absorbed before it (a seed
+    that absorbs no heavy vertex does no bitset work); the adjacency is read
+    only by slicing `indices`. A seed that passes the filter absorbs the
+    common neighbor, so every seed run sticks at three or more vertices, and
+    its stuck set is recorded for the subsumption test.
     """
     ptr = indptr
     cut = heavy_cut(m)
@@ -98,7 +99,7 @@ def sweep_seeds(
         if not common:
             sizes_out[s] = 2
             if m == 2:
-                return s
+                return [a, b]
             continue
         one = 2 * s
         mem = one + 1
@@ -107,7 +108,7 @@ def sweep_seeds(
         size = len(queue)
         sizes_out[s] = size
         if size == m:
-            return s
+            return queue
         # Record the stuck set's inner edges: light members scan their
         # adjacency, heavy ones read N[v] & P from the masks.
         reached = int.from_bytes(member_bits, "little") if member_bits is not None else 0
@@ -121,7 +122,7 @@ def sweep_seeds(
                 for w in indices[ptr[v] : ptr[v + 1]]:
                     if w > v and stamp[w] == mem:
                         subsumed.add(base + w)
-    return -1
+    return None
 
 
 def _grow(

@@ -13,8 +13,8 @@ an unconnected pair is invalid outright.
 
 The reached set of a seed does not depend on absorption order (absorbing a
 vertex never lowers another vertex's count), so any tie-break gives the
-same verdict; greedy_closure uses lowest-id-first to make witnesses
-reproducible, and the seed sweep (linkdomain.kernels) uses a FIFO worklist.
+same verdict. The witness is the FIFO insertion order of the seed sweep
+(linkdomain.kernels); greedy_closure is the reference closure.
 """
 
 import heapq
@@ -155,12 +155,13 @@ def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:
 def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     """Decide whether the graph admits a linked order.
 
-    Seeds are the edges in ascending order; the witness comes from the
-    first (lexicographically smallest) seed whose closure covers all
-    vertices, with lowest-id-first insertion order. On failure the
-    certificate maps every seed edge to its stuck set. A single vertex is
-    linked by convention (the conditions quantify over positions that do
-    not exist); two vertices are linked iff they are connected.
+    Seeds are the edges in ascending order; the witness is the sweep's FIFO
+    absorption order from the first (lexicographically smallest) seed whose
+    closure covers all vertices, checked by verify_witness (a failed check,
+    a bug, raises RuntimeError). On failure the certificate maps every seed
+    edge to its stuck set. A single vertex is linked by convention (the
+    conditions quantify over positions that do not exist); two vertices are
+    linked iff they are connected.
     """
     if graph.m == 1:
         return RecognitionResult(linked=True, witness=(0,))
@@ -168,11 +169,11 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     indptr, indices = graph.csr_arrays()
     seed_u, seed_v = graph.seed_arrays()
     sizes = [0] * len(graph.edges)
-    winner = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, graph.m, sizes)
+    order = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, graph.m, sizes)
 
-    if winner < 0:
+    if order is None:
         return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes))
-    witness = greedy_closure(graph, graph.edges[winner]).reached
+    witness = tuple(order)
     if not verify_witness(graph, witness):
         raise RuntimeError("the seed sweep produced an invalid witness; this is a bug")
     return RecognitionResult(linked=True, witness=witness)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -101,6 +102,16 @@ class TestCheck:
     def test_witness_verification_flag(self, k3_path, capsys):
         assert main(["check", k3_path, "--witness"]) == 0
         assert "witness check: valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--witness"], ["--json"]])
+    def test_invalid_witness_is_an_error_not_a_verdict(self, k3_path, capsys, monkeypatch, flags):
+        # The package re-exports the function recognize, so the module is
+        # reached through sys.modules.
+        monkeypatch.setattr(sys.modules["linkdomain.recognize"], "verify_witness", lambda g, w: False)
+        assert main(["check", k3_path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "invalid witness" in captured.err
 
     def test_soc_format(self, tmp_path, capsys):
         path = tmp_path / "p.soc"

@@ -12,7 +12,7 @@ from linkdomain import (
 )
 from linkdomain.model import election_from_ids
 
-from strategies import elections
+from strategies import elections, graphs
 
 
 def make(m, votes):
@@ -62,7 +62,7 @@ class TestBuildGraph:
     def test_strong_subset_of_weak(self, e):
         strong = build_graph(e, Mode.STRONG)
         weak = build_graph(e, Mode.WEAK)
-        assert strong.edge_set <= weak.edge_set
+        assert set(strong.edges) <= set(weak.edges)
 
     @given(elections(min_m=2), st.randoms(use_true_random=False))
     def test_invariant_under_vote_order_and_multiplicity(self, e, rng):
@@ -77,7 +77,7 @@ class TestBuildGraph:
         extra = tuple(data.draw(st.permutations(range(e.m))))
         grown = election_from_ids(list(e.votes) + [(extra, 1)], e.m)
         for mode in Mode:
-            assert build_graph(e, mode).edge_set <= build_graph(grown, mode).edge_set
+            assert set(build_graph(e, mode).edges) <= set(build_graph(grown, mode).edges)
 
     @given(elections(min_m=2), st.data())
     def test_relabeling_equivariance(self, e, data):
@@ -90,7 +90,7 @@ class TestBuildGraph:
                 (min(sigma[u], sigma[v]), max(sigma[u], sigma[v]))
                 for u, v in build_graph(e, mode).edges
             }
-            assert build_graph(relabeled, mode).edge_set == expected
+            assert set(build_graph(relabeled, mode).edges) == expected
 
 
 class TestConnectivityGraph:
@@ -120,6 +120,32 @@ class TestConnectivityGraph:
         a = ConnectivityGraph(3, [(0, 1)], Mode.STRONG)
         b = ConnectivityGraph(3, [(0, 1)])
         assert a == b
+
+    def test_has_edge_rejects_ids_outside_the_graph(self):
+        # Vertex -1 would read row 2 if negative indexes wrapped around.
+        g = ConnectivityGraph(3, [(0, 1), (0, 2), (1, 2)])
+        assert g.has_edge(0, 1) and g.has_edge(2, 1)
+        for u, v in [(-1, 0), (0, -1), (-3, 1), (3, 0), (0, 3), (10**9, 1), (1, 1), (-1, -1)]:
+            assert g.has_edge(u, v) is False, (u, v)
+
+    @given(graphs(), st.data())
+    def test_has_edge_matches_edges(self, g, data):
+        u = data.draw(st.integers(-g.m - 1, 2 * g.m))
+        v = data.draw(st.integers(-g.m - 1, 2 * g.m))
+        assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in set(g.edges))
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_rows_ascending_and_symmetric_for_any_edge_input(self, g, rng):
+        given_edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        given_edges += rng.sample(given_edges, len(given_edges) // 2)  # duplicates
+        rng.shuffle(given_edges)
+        for edges in (given_edges, given_edges[::-1]):
+            rebuilt = ConnectivityGraph(g.m, edges)
+            assert rebuilt.edges == g.edges
+            for v, row in enumerate(rebuilt.adjacency):
+                assert list(row) == sorted(set(row))
+                assert all(v in rebuilt.adjacency[w] for w in row)
+            assert sum(map(len, rebuilt.adjacency)) == 2 * len(g.edges)
 
     def test_csr_matches_adjacency(self):
         g = ConnectivityGraph(4, [(0, 1), (1, 2), (0, 3)])

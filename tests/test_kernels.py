@@ -1,12 +1,12 @@
 """The seed-sweep kernel contract in every degree regime, and its work on hub graphs.
 
-The kernel returns the first covering seed and writes the exact closure
-size of every seed it decided; a seed it skipped reads 0 and must lie
-inside the stuck set of an earlier seed it ran. A vertex is heavy when its
-degree is at least kernels.heavy_cut(m), and the closure treats heavy and
-light vertices differently, so each property runs on graphs that are all
-heavy, all light, and mixed; the test checks from the degrees which one
-it got.
+The kernel returns the absorption order of the first covering seed, a
+linked order, and writes the exact closure size of every seed it
+decided; a seed it skipped reads 0 and must lie inside the stuck set of
+an earlier seed it ran. A vertex is heavy when its degree is at least
+kernels.heavy_cut(m), and the closure treats heavy and light vertices
+differently, so each property runs on graphs that are all heavy, all
+light, and mixed; the test checks from the degrees which one it got.
 """
 
 import random
@@ -20,16 +20,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkdomain
-from linkdomain import ConnectivityGraph, gen_pendant_clique, greedy_closure, kernels, recognize
+from linkdomain import (
+    ConnectivityGraph,
+    gen_pendant_clique,
+    greedy_closure,
+    kernels,
+    recognize,
+    verify_witness,
+)
 
 from strategies import graphs_with_edges
 
 
 def run(g):
+    """(index of the winning seed or -1, sizes); checks the returned order is a witness."""
     indptr, indices = g.csr_arrays()
     seed_u, seed_v = g.seed_arrays()
     sizes = [0] * len(g.edges)
-    winner = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, g.m, sizes)
+    order = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, g.m, sizes)
+    if order is None:
+        return -1, sizes
+    winner = g.edges.index(tuple(order[:2]))
+    assert verify_witness(g, order)
+    assert sizes[winner] == g.m
     return winner, sizes
 
 
@@ -158,12 +171,14 @@ def test_pendant_clique_runs_two_seeds(monkeypatch, m):
 def test_sweep_handles_no_seeds():
     g = ConnectivityGraph(3, [(0, 1)])
     indptr, indices = g.csr_arrays()
-    assert kernels.sweep_seeds(indptr, indices, [], [], g.m, []) == -1
+    assert kernels.sweep_seeds(indptr, indices, [], [], g.m, []) is None
 
 
 def test_single_edge_wins_without_a_closure():
     g = ConnectivityGraph(2, [(0, 1)])
     assert run(g) == (0, [2])
+    indptr, indices = g.csr_arrays()
+    assert kernels.sweep_seeds(indptr, indices, [0], [1], g.m, [0]) == [0, 1]
 
 
 def windmill2(k: int) -> ConnectivityGraph:
@@ -222,7 +237,7 @@ def _windmill_entries_read(k: int) -> int:
     counting = CountingList(indices)
     seed_u, seed_v = g.seed_arrays()
     sizes = [0] * len(g.edges)
-    assert kernels.sweep_seeds(indptr, counting, seed_u, seed_v, g.m, sizes) == -1
+    assert kernels.sweep_seeds(indptr, counting, seed_u, seed_v, g.m, sizes) is None
     return counting.read
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,35 @@ class TestRecognize:
         result = recognize(g)
         assert result.linked
         assert result.witness == (0, 2, 3, 4, 1)
+
+    def test_witness_is_the_sweep_absorption_order(self):
+        # Seed (0, 1) covers. FIFO absorbs 4 before 3 (0 and 1 both see 4,
+        # only 2 opens 3); the reference closure inserts lowest id first.
+        g = ConnectivityGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
+        result = recognize(g)
+        assert result.witness == (0, 1, 2, 4, 3)
+        assert greedy_closure(g, (0, 1)).reached == (0, 1, 2, 3, 4)
+
+    @given(graphs_with_edges())
+    def test_witness_starts_with_the_first_covering_seed(self, g):
+        covering = [seed for seed in g.edges if len(greedy_closure(g, seed).reached) == g.m]
+        result = recognize(g)
+        assert result.linked == bool(covering)
+        if covering:
+            assert result.witness[:2] == covering[0]
+
+    @given(graphs())
+    def test_decides_without_the_reference_closure(self, g):
+        def refuse(*args, **kwargs):
+            raise AssertionError("recognize ran greedy_closure")
+
+        with patch.object(sys.modules["linkdomain.recognize"], "greedy_closure", refuse):
+            result = recognize(g)
+            if result.linked:
+                assert verify_witness(g, result.witness)
+            else:
+                assert result.certificate.max_stuck_size < g.m
+        assert result.linked == brute_force_linked(g)[0]
 
     def test_certificate_mapping_interface(self):
         result = recognize(P3)
