@@ -36,10 +36,10 @@ from .generate import (
     gen_pendant_clique,
     gen_random_graph,
 )
-from .graph import ConnectivityGraph, Mode, build_graph, export_dot, top_pair_set
+from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
 from .model import Candidate, Election, Vote, default_names, top_two, validate_election
 from .oracle import brute_force_linked, enumerate_graphs, linked_via_all_pair_seeds
-from .profiles import parse_native, parse_preflib_soc, write_native
+from .profiles import export_dot, parse_graph, parse_native, parse_preflib_soc, write_native
 from .recognize import (
     ClosureState,
     LinkedOrder,
@@ -94,6 +94,7 @@ __all__ = [
     "greedy_closure",
     "kernels",
     "linked_via_all_pair_seeds",
+    "parse_graph",
     "parse_native",
     "parse_preflib_soc",
     "recognize",

@@ -17,16 +17,13 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import LinkDomainError, ProfileSyntaxError
+from .errors import LinkDomainError
 from .generate import gen_edge_realizing, gen_impartial_culture
-from .graph import ConnectivityGraph, Mode, build_graph, export_dot
-from .model import Election, default_names
+from .graph import ConnectivityGraph, Mode, build_graph
+from .model import Election
 from .oracle import DEFAULT_CAP, brute_force_linked
-from .profiles import _decode, parse_native, parse_preflib_soc, write_native
+from .profiles import MAX_DIGITS, export_dot, parse_graph, parse_native, parse_preflib_soc, write_native
 from .recognize import RecognitionResult, recognize
-
-MAX_GRAPH_VERTICES = 1_000_000  # as many as parse_preflib_soc accepts alternatives
-MAX_VOTE_DIGITS = 4300  # the report prints the vote total; str() refuses longer ints
 
 
 def _load_election(path: str, fmt: str) -> Election:
@@ -43,8 +40,8 @@ def _check_pipeline(election: Election, mode: Mode) -> tuple[RecognitionResult, 
 
 def cmd_check(args: argparse.Namespace) -> int:
     election = _load_election(args.path, args.format)
-    if election.n >= 10**MAX_VOTE_DIGITS:
-        raise LinkDomainError(f"vote total has more than {MAX_VOTE_DIGITS} digits")
+    if election.n >= 10**MAX_DIGITS:  # the report prints it; str() refuses longer ints
+        raise LinkDomainError(f"vote total has more than {MAX_DIGITS} digits")
     mode = Mode(args.mode)
     result, graph, elapsed_ms = _check_pipeline(election, mode)
     names = election.names
@@ -85,77 +82,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if result.linked else 1
 
 
-def _read_graph_file(path: str) -> tuple[ConnectivityGraph, tuple[str, ...]]:
-    """Edge-list ('u v' per line, 0-based) or the DOT subset export_dot emits.
-
-    An edge list names at most MAX_GRAPH_VERTICES vertices. Invalid UTF-8,
-    a malformed line, a self-loop or a larger id raises ProfileSyntaxError
-    with its line number before any per-vertex storage is allocated.
-    """
-    text = _decode(Path(path).read_bytes())
-    numbered = enumerate((line.strip() for line in text.splitlines()), start=1)
-    lines = [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
-    if lines and lines[0][1].startswith("graph"):
-        return _parse_dot([line for _, line in lines], path)
-
-    edges = []
-    for line_no, line in lines:
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-            raise ProfileSyntaxError(f"expected a 'u v' edge line, got {line!r}", line=line_no)
-        ids = []
-        for part in parts:
-            digits = part.lstrip("0") or "0"
-            # the length test keeps int() off ids too long to convert
-            if len(digits) > len(str(MAX_GRAPH_VERTICES)) or int(digits) >= MAX_GRAPH_VERTICES:
-                raise ProfileSyntaxError(
-                    f"vertex id {part} is beyond the supported {MAX_GRAPH_VERTICES} vertices",
-                    line=line_no,
-                )
-            ids.append(int(digits))
-        u, v = ids
-        if u == v:
-            raise ProfileSyntaxError(f"self-loop at vertex {u}", line=line_no)
-        edges.append((u, v))
-    if not edges:
-        raise LinkDomainError(f"{path}: no edges; cannot infer the vertex count")
-    m = max(max(u, v) for u, v in edges) + 1
-    return ConnectivityGraph(m, edges), default_names(m)
-
-
-def _parse_dot(lines: list[str], path: str) -> tuple[ConnectivityGraph, tuple[str, ...]]:
-    ids: dict[str, int] = {}
-    pairs: list[tuple[str, str]] = []
-
-    def intern(name: str) -> int:
-        return ids.setdefault(name, len(ids))
-
-    for line in lines[1:]:
-        if line in ("}", "{"):
-            continue
-        body = line.rstrip(";").strip()
-        if "--" in body:
-            left, _, right = body.partition("--")
-            pairs.append((_unquote(left), _unquote(right)))
-        elif body:
-            intern(_unquote(body))
-    for left, right in pairs:
-        intern(left)
-        intern(right)
-    if not ids:
-        raise LinkDomainError(f"{path}: DOT graph declares no vertices")
-    names = tuple(ids)
-    edges = [(ids[left], ids[right]) for left, right in pairs]
-    return ConnectivityGraph(len(ids), edges), names
-
-
-def _unquote(token: str) -> str:
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        token = token[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    return token
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.model == "ic":
         if args.candidates is None or args.votes is None:
@@ -168,7 +94,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         if args.graph is None:
             raise LinkDomainError("--model edges needs --graph")
-        graph, names = _read_graph_file(args.graph)
+        graph, names = parse_graph(Path(args.graph).read_bytes())
         election = gen_edge_realizing(graph, names)
 
     text = write_native(election)

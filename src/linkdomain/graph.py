@@ -10,7 +10,7 @@ only on this graph, so everything downstream consumes it.
 
 from enum import Enum
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import TooFewCandidates
 from .model import Election
@@ -108,22 +108,3 @@ def build_graph(election: Election, mode: Mode = Mode.STRONG) -> ConnectivityGra
         edges = [(min(a, b), max(a, b)) for a, b in pairs]
     return ConnectivityGraph(election.m, edges, mode)
 
-
-def export_dot(graph: ConnectivityGraph, names: Sequence[str]) -> str:
-    """Graphviz text for the graph: isolated vertices first, then edges ascending."""
-    if len(names) != graph.m:
-        raise ValueError(f"expected {graph.m} names, got {len(names)}")
-    lines = ["graph {"]
-    covered = {v for edge in graph.edges for v in edge}
-    for v in range(graph.m):
-        if v not in covered:
-            lines.append(f'  {_dot_quote(names[v])};')
-    for u, v in graph.edges:
-        lines.append(f'  {_dot_quote(names[u])} -- {_dot_quote(names[v])};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_quote(name: str) -> str:
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'

@@ -17,12 +17,14 @@ VOTERS`` are recognized, other keys ignored) followed by data lines
 ``<count>: <id>,<id>,...`` with 1-based alternative ids. Ties and
 incomplete orders are rejected as UnsupportedProfile.
 
-Both parsers accept bytes or str and never raise anything outside the
-package error hierarchy; every failure carries a line number.
+Graph files are read by parse_graph. Every reader accepts bytes or str,
+raises only package errors, and gives every failure a line number.
 """
 
 import re
 import unicodedata
+from itertools import chain
+from typing import Sequence
 
 from .errors import (
     InconsistentMetadata,
@@ -31,15 +33,20 @@ from .errors import (
     UnsupportedProfile,
     Violation,
 )
-from .model import Election, Vote, index_candidates, make_election, resolve_ranking
+from .graph import ConnectivityGraph
+from .model import Election, Vote, default_names, index_candidates, make_election, resolve_ranking
 from .model import validate_election  # noqa: F401 - perfbench's trace hooks look it up here
+
+MAX_DIGITS = 4300  # the longest decimal string int() converts by default
+MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices, accepted
 
 _RESERVED = (",", ">", "\n", "\r")
 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
-_MAX_DIGITS = 4300  # the longest decimal string int() converts by default
 _INT_RE = re.compile(r"([+-]?)(\d+(?:_\d+)*)")  # what int() reads, once stripped
+_DOT_NAME = r'"((?:[^"\\]|\\["\\])*)"'  # export_dot escapes exactly '"' and '\'
+_DOT_LINE_RE = re.compile(rf"{_DOT_NAME}(?:\s*--\s*{_DOT_NAME})?\s*;?")
 
 
 def _decode(text: str | bytes) -> str:
@@ -54,12 +61,12 @@ def _decode(text: str | bytes) -> str:
 
 def _decimal(digits: str) -> int | None:
     """The value of a string of decimal digits of any script, or None when it
-    has more than _MAX_DIGITS significant digits, where int() would raise
+    has more than MAX_DIGITS significant digits, where int() would raise
     ValueError."""
     if not digits.isascii():
         digits = "".join(str(unicodedata.decimal(c)) for c in digits)
     digits = digits.lstrip("0") or "0"
-    return int(digits) if len(digits) <= _MAX_DIGITS else None
+    return int(digits) if len(digits) <= MAX_DIGITS else None
 
 
 def parse_native(text: str | bytes) -> Election:
@@ -111,7 +118,7 @@ def parse_native(text: str | bytes) -> Election:
             mult = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
             if mult is None:
                 raise ProfileSyntaxError(
-                    f"multiplicity has more than {_MAX_DIGITS} digits",
+                    f"multiplicity has more than {MAX_DIGITS} digits",
                     line=line_no,
                     column=_column(raw, count_str),
                 )
@@ -186,7 +193,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
             key, index, value = match.group(1).strip(), match.group(2), match.group(3)
             if key == "NUMBER ALTERNATIVES" and not index:
                 declared = _meta_int(key, value, line_no)
-                shown = f"a number of more than {_MAX_DIGITS} digits" if declared is None else declared
+                shown = f"a number of more than {MAX_DIGITS} digits" if declared is None else declared
                 if m is not None and declared != m:
                     raise InconsistentMetadata(
                         f"NUMBER ALTERNATIVES redeclared as {shown}, was {m}", line=line_no
@@ -195,7 +202,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                     raise UnsupportedProfile(
                         f"NUMBER ALTERNATIVES is {shown}, beyond the supported size", line=line_no
                     )
-                if declared > 1_000_000:
+                if declared > MAX_VERTICES:
                     raise UnsupportedProfile(
                         f"{declared} alternatives is beyond the supported size", line=line_no
                     )
@@ -204,7 +211,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 idx = _decimal(index)
                 if idx is None:
                     raise InconsistentMetadata(
-                        f"ALTERNATIVE NAME index has more than {_MAX_DIGITS} digits", line=line_no
+                        f"ALTERNATIVE NAME index has more than {MAX_DIGITS} digits", line=line_no
                     )
                 if idx in alt_names:
                     raise InconsistentMetadata(
@@ -216,7 +223,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 declared_voters = _meta_int(key, value, line_no)
                 if declared_voters is None:
                     raise ProfileSyntaxError(
-                        f"NUMBER VOTERS has more than {_MAX_DIGITS} digits", line=line_no
+                        f"NUMBER VOTERS has more than {MAX_DIGITS} digits", line=line_no
                     )
             # every other key is forward-compatible metadata
             continue
@@ -232,7 +239,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
             count = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
             if count is None:
                 raise ProfileSyntaxError(
-                    f"vote count has more than {_MAX_DIGITS} digits", line=line_no, column=1
+                    f"vote count has more than {MAX_DIGITS} digits", line=line_no, column=1
                 )
             if count < 1:
                 raise ProfileSyntaxError(
@@ -271,8 +278,8 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 f"ALTERNATIVE NAME {idx} outside 1..{alternatives}", line=eof
             )
     if declared_voters is not None and declared_voters != total_votes:
-        # counts of up to _MAX_DIGITS digits can sum to one str() refuses
-        total = total_votes if total_votes < 10**_MAX_DIGITS else f"more than {_MAX_DIGITS} digits"
+        # counts of up to MAX_DIGITS digits can sum to one str() refuses
+        total = total_votes if total_votes < 10**MAX_DIGITS else f"more than {MAX_DIGITS} digits"
         raise InconsistentMetadata(
             f"NUMBER VOTERS is {declared_voters} but data lines sum to {total}", line=eof
         )
@@ -300,7 +307,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
 
 def _meta_int(key: str, value: str, line_no: int) -> int | None:
     """A metadata value as int() reads it (a sign, then digits of any script,
-    maybe grouped by underscores), or None when it has more than _MAX_DIGITS
+    maybe grouped by underscores), or None when it has more than MAX_DIGITS
     significant digits, whatever its sign or script. ProfileSyntaxError for
     anything int() rejects."""
     match = _INT_RE.fullmatch(value.strip())
@@ -332,7 +339,7 @@ def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:
     for alt in ids:
         if alt is None:
             raise InconsistentMetadata(
-                f"alternative id of more than {_MAX_DIGITS} digits outside 1..{m}", line=line_no
+                f"alternative id of more than {MAX_DIGITS} digits outside 1..{m}", line=line_no
             )
         if not 1 <= alt <= m:
             raise InconsistentMetadata(f"alternative id {alt} outside 1..{m}", line=line_no)
@@ -355,3 +362,87 @@ def write_native(election: Election) -> str:
     for ranking, mult in election.votes:
         lines.append(f"{mult}: " + " > ".join(names[c] for c in ranking))
     return "\n".join(lines) + "\n"
+
+
+def parse_graph(data: str | bytes) -> tuple[ConnectivityGraph, tuple[str, ...]]:
+    """A graph and its vertex names from an edge list ('u v' lines, 0-based
+    ids below MAX_VERTICES, named by default_names) or, when the first line
+    starts with 'graph', from DOT. Blank and '#' lines are skipped. Every
+    failure is a ProfileSyntaxError with its line (the last for a file with
+    no edge or vertex), raised before any per-vertex storage is allocated."""
+    lines = _decode(data).splitlines()
+    body = [(no, line) for no, line in enumerate(map(str.strip, lines), start=1) if line and line[0] != "#"]
+    eof = max(1, len(lines))
+    if body and body[0][1].startswith("graph"):
+        return _parse_dot(body, eof)
+
+    edges = []
+    for line_no, line in body:
+        parts = line.split()
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            raise ProfileSyntaxError(f"expected a 'u v' edge line, got {line!r}", line=line_no)
+        ids = []
+        for part in parts:
+            digits = part.lstrip("0") or "0"
+            # the length test keeps int() off ids too long to convert
+            if len(digits) > len(str(MAX_VERTICES)) or int(digits) >= MAX_VERTICES:
+                raise ProfileSyntaxError(
+                    f"vertex id {part} is beyond the supported {MAX_VERTICES} vertices", line=line_no
+                )
+            ids.append(int(digits))
+        u, v = ids
+        if u == v:
+            raise ProfileSyntaxError(f"self-loop at vertex {u}", line=line_no)
+        edges.append((u, v))
+    if not edges:
+        raise ProfileSyntaxError("no edges; cannot infer the vertex count", line=eof)
+    m = max(map(max, edges)) + 1
+    return ConnectivityGraph(m, edges), default_names(m)
+
+
+def _parse_dot(body: list[tuple[int, str]], eof: int) -> tuple[ConnectivityGraph, tuple[str, ...]]:
+    """The inverse of export_dot. After the header 'graph {' each line is
+    '"name";' or '"a" -- "b";' (the ';' optional) up to a final '}'. Names
+    come declared vertices first, then edge endpoints as they appear."""
+    if body[0][1] != "graph {":
+        raise ProfileSyntaxError("expected the header 'graph {'", line=body[0][0])
+    if body[-1][1] != "}":
+        raise ProfileSyntaxError("expected '}' as the last line", line=body[-1][0])
+    declared: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    for line_no, line in body[1:-1]:
+        match = _DOT_LINE_RE.fullmatch(line)
+        if match is None:
+            raise ProfileSyntaxError(f"expected '\"name\";' or '\"a\" -- \"b\";', got {line!r}", line=line_no)
+        left, right = (re.sub(r'\\(["\\])', r"\1", name) if name else name for name in match.groups())
+        if right is None:
+            declared.append(left)
+        elif left == right:
+            raise ProfileSyntaxError(f"self-loop at vertex {_dot_quote(left)}", line=line_no)
+        else:
+            pairs.append((left, right))
+    ids = {name: i for i, name in enumerate(dict.fromkeys(chain(declared, chain.from_iterable(pairs))))}
+    if not ids:
+        raise ProfileSyntaxError("DOT graph declares no vertices", line=eof)
+    return ConnectivityGraph(len(ids), [(ids[a], ids[b]) for a, b in pairs]), tuple(ids)
+
+
+def export_dot(graph: ConnectivityGraph, names: Sequence[str]) -> str:
+    """Graphviz text for the graph: isolated vertices first, then edges
+    ascending. parse_graph reads it back to the same names and named edges."""
+    if len(names) != graph.m:
+        raise ValueError(f"expected {graph.m} names, got {len(names)}")
+    lines = ["graph {"]
+    covered = {v for edge in graph.edges for v in edge}
+    for v in range(graph.m):
+        if v not in covered:
+            lines.append(f"  {_dot_quote(names[v])};")
+    for u, v in graph.edges:
+        lines.append(f"  {_dot_quote(names[u])} -- {_dot_quote(names[v])};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _dot_quote(name: str) -> str:
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'

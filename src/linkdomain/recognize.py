@@ -145,8 +145,7 @@ def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:
     placed[order[0]] = True
     placed[order[1]] = True
     for v in order[2:]:
-        prior = sum(1 for w in graph.neighbors(v) if placed[w])
-        if prior < 2:
+        if sum(map(placed.__getitem__, graph.adjacency[v])) < 2:
             return False
         placed[v] = True
     return True

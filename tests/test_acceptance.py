@@ -13,6 +13,7 @@ import time
 
 from linkdomain import (
     InvalidElection,
+    LinkDomainError,
     Mode,
     ProfileError,
     brute_force_linked,
@@ -25,6 +26,7 @@ from linkdomain import (
     gen_random_graph,
     greedy_closure,
     linked_via_all_pair_seeds,
+    parse_graph,
     parse_native,
     parse_preflib_soc,
     recognize,
@@ -220,6 +222,14 @@ SOC_BASES = [
     "# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: 2\n1: 1,2\n1: 2,1\n",
 ]
 
+GRAPH_BASES = [
+    "# a path\n0 1\n1 2\n\n2 3\n",
+    "0 1\n0 2\n1 2\n",
+    'graph {\n  "iso";\n  "a" -- "b";\n  "b" -- "c d";\n}\n',
+    'graph {\n  "x--y" -- "s\\"q\\\\";\n}\n',
+    'graph {\n"a"--"ab"\n"b"--"bc"\n}',
+]
+
 
 def _mutate(data: bytes, rng: random.Random) -> bytes:
     raw = bytearray(data)
@@ -262,5 +272,24 @@ def test_criterion_8_parser_fuzz_robustness():
         8,
         not crashes,
         "10000 mutated profiles: parsers only ever raise structured errors",
+        f"first crashes: {crashes[:5]}",
+    )
+
+
+def test_criterion_8_graph_reader_fuzz_robustness():
+    rng = random.Random(0x6EAD8)
+    crashes = []
+    for i in range(10_000):
+        data = _mutate(rng.choice(GRAPH_BASES).encode(), rng)
+        try:
+            parse_graph(data)
+        except LinkDomainError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the point is to catch anything else
+            crashes.append((i, repr(exc)))
+    _report(
+        8,
+        not crashes,
+        "10000 mutated edge lists and DOT files: parse_graph only raises package errors",
         f"first crashes: {crashes[:5]}",
     )

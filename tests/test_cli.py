@@ -10,7 +10,7 @@ from linkdomain import (
     gen_edge_realizing,
     write_native,
 )
-from linkdomain import cli
+from linkdomain import profiles
 from linkdomain.cli import main
 
 K3_PROFILE = (
@@ -217,18 +217,18 @@ class TestGraphFile:
     def no_large_graph(self, monkeypatch):
         """A graph of more than a few vertices here means an id got past the
         bound: fail before its adjacency lists are allocated."""
-        real = cli.ConnectivityGraph
+        real = profiles.ConnectivityGraph
 
         def guarded(m, edges, *args):
             assert m <= 10, f"reader built a graph on {m} vertices"
             return real(m, edges, *args)
 
-        monkeypatch.setattr(cli, "ConnectivityGraph", guarded)
+        monkeypatch.setattr(profiles, "ConnectivityGraph", guarded)
 
     def read(self, tmp_path, text):
         path = tmp_path / "g.edges"
         path.write_text(text)
-        return cli._read_graph_file(str(path))
+        return profiles.parse_graph(path.read_bytes())
 
     def test_comments_blank_lines_and_leading_zeros(self, tmp_path):
         graph, names = self.read(tmp_path, "# a path\n\n0 1\n  1\t002  \n")
@@ -267,7 +267,7 @@ class TestGraphFile:
         path = tmp_path / "g.edges"
         path.write_bytes(b"0 1\n# caf\xe9\n1 2\n")
         with pytest.raises(ProfileSyntaxError) as exc:
-            cli._read_graph_file(str(path))
+            profiles.parse_graph(path.read_bytes())
         assert exc.value.line == 2
         assert "invalid UTF-8" in str(exc.value)
 
@@ -276,3 +276,31 @@ class TestGraphFile:
         path.write_text("0 1\n0 99999999999\n")
         assert main(["gen", "--model", "edges", "--graph", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: line 2: vertex id 99999999999")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# only a comment\n\n", "error: line 2: no edges; cannot infer the vertex count"),
+            ("graph {\n}\n", "error: line 2: DOT graph declares no vertices"),
+            ('graph {\n  "a" -- "a";\n}\n', 'error: line 2: self-loop at vertex "a"'),
+        ],
+    )
+    def test_gen_reports_empty_and_looped_graphs_with_their_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "g.dot"
+        path.write_text(text)
+        assert main(["gen", "--model", "edges", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_gen_reads_back_the_names_check_wrote(self, tmp_path, capsys):
+        # "x--y" once read back as the two names '"x' and 'y" -- "b"'
+        profile = tmp_path / "p.profile"
+        profile.write_text('candidates: x--y, b, c "d\\\n1: x--y > b > c "d\\\n1: b > x--y > c "d\\\n')
+        dot = tmp_path / "g.dot"
+        assert main(["check", str(profile), "--graph-out", str(dot)]) == 1
+        capsys.readouterr()
+        assert main(["gen", "--model", "edges", "--graph", str(dot)]) == 0
+        assert capsys.readouterr().out == (
+            'candidates: c "d\\, x--y, b\n1: x--y > b > c "d\\\n1: b > x--y > c "d\\\n'
+        )

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linkdomain import (
+    ConnectivityGraph,
     InconsistentMetadata,
     InvalidElection,
     LinkDomainError,
@@ -10,13 +11,15 @@ from linkdomain import (
     ProfileSyntaxError,
     UnrepresentableName,
     UnsupportedProfile,
+    export_dot,
+    parse_graph,
     parse_native,
     parse_preflib_soc,
     write_native,
 )
 from linkdomain.model import election_from_ids
 
-from strategies import elections
+from strategies import elections, graphs
 
 
 class TestParseNative:
@@ -227,6 +230,77 @@ class TestWriteNative:
     def test_round_trip_preserves_duplicate_vote_lines(self):
         e = election_from_ids([((0, 1), 1), ((0, 1), 2)], 2)
         assert parse_native(write_native(e)) == e
+
+
+# str.splitlines breaks a line at each of these, so export_dot cannot write them in a name
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+DOT_NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=LINE_BREAKS), min_size=1)
+
+
+def named_edges(graph, names):
+    return {frozenset((names[u], names[v])) for u, v in graph.edges}
+
+
+class TestParseGraph:
+    def test_dot_keeps_declared_names_first_then_endpoints_in_order(self):
+        text = 'graph {\n  "d" -- "b";\n  # note\n\n  "c";\n  "b" -- "a"\n  "c";\n}\n'
+        graph, names = parse_graph(text)
+        assert names == ("c", "d", "b", "a")
+        assert graph == ConnectivityGraph(4, [(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("name", ["x--y", "a;b", 'say "hi"', "back\\slash", " two  spaces ", '\\"', "#", ""])
+    def test_dot_name_survives_export(self, name):
+        graph = ConnectivityGraph(3, [(0, 1)])
+        names = (name, "x--y--z", "iso;")
+        back, back_names = parse_graph(export_dot(graph, names))
+        assert back_names == (names[2], names[0], names[1])
+        assert named_edges(back, back_names) == named_edges(graph, names)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('"a" -- "a";', 'self-loop at vertex "a"'),
+            ('"a" -- "b" -- "c";', "expected '\"name\";' or '\"a\" -- \"b\";'"),
+            ("a -- b;", "expected '\"name\";'"),
+            ("a;", "expected '\"name\";'"),
+            ('"a" -- b;', "expected '\"name\";'"),
+            ('"a\\n";', "expected '\"name\";'"),
+            ('"a"b";', "expected '\"name\";'"),
+            ('"a";;', "expected '\"name\";'"),
+            ("{", "expected '\"name\";'"),
+            ("}", "expected '\"name\";'"),
+        ],
+    )
+    def test_dot_rejects_other_lines_with_their_number(self, body, message):
+        with pytest.raises(ProfileSyntaxError) as exc:
+            parse_graph(f'graph {{\n  "x" -- "y";\n\n  {body}\n}}\n')
+        assert exc.value.line == 4
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('graph G {\n"a";\n}\n', 1, "expected the header 'graph {'"),
+            ('graph {\n"a";\n', 2, "expected '}' as the last line"),
+            ('graph {\n"a";\n}\n"b";\n\n', 4, "expected '}' as the last line"),
+            ("graph {\n}\n\n", 3, "DOT graph declares no vertices"),
+            ("# nothing\n\n\n", 3, "no edges; cannot infer the vertex count"),
+            ("", 1, "no edges; cannot infer the vertex count"),
+        ],
+    )
+    def test_file_level_errors_carry_a_line(self, text, line, message):
+        for data in (text, text.encode()):
+            with pytest.raises(ProfileSyntaxError) as exc:
+                parse_graph(data)
+            assert exc.value.line == line
+            assert message in str(exc.value)
+
+    @given(graphs(max_m=8), st.lists(DOT_NAMES, min_size=8, max_size=8, unique=True))
+    def test_dot_round_trip(self, graph, pool):
+        names = tuple(pool[: graph.m])
+        back, back_names = parse_graph(export_dot(graph, names).encode())
+        assert sorted(back_names) == sorted(names)
+        assert named_edges(back, back_names) == named_edges(graph, names)
 
 
 @given(st.text(max_size=200))
