@@ -37,9 +37,9 @@ from .generate import (
     gen_random_graph,
 )
 from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
-from .model import Candidate, Election, Vote, default_names, top_two, validate_election
+from .model import Candidate, Election, ProfileScan, Vote, default_names, top_two, validate_election
 from .oracle import brute_force_linked, enumerate_graphs, linked_via_all_pair_seeds
-from .profiles import export_dot, parse_graph, parse_native, parse_preflib_soc, write_native
+from .profiles import export_dot, parse_graph, parse_native, parse_preflib_soc, scan_profile, write_native
 from .recognize import (
     ClosureState,
     LinkedOrder,
@@ -71,6 +71,7 @@ __all__ = [
     "NonPositiveMultiplicity",
     "NotAPermutation",
     "ProfileError",
+    "ProfileScan",
     "ProfileSyntaxError",
     "RecognitionResult",
     "SeedNotEdge",
@@ -99,6 +100,7 @@ __all__ = [
     "parse_preflib_soc",
     "recognize",
     "recognize_election",
+    "scan_profile",
     "top_pair_set",
     "top_two",
     "validate_election",

@@ -20,9 +20,17 @@ from pathlib import Path
 from .errors import LinkDomainError
 from .generate import gen_edge_realizing, gen_impartial_culture
 from .graph import ConnectivityGraph, Mode, build_graph
-from .model import Election
+from .model import Election, ProfileScan
 from .oracle import DEFAULT_CAP, brute_force_linked
-from .profiles import MAX_DIGITS, export_dot, parse_graph, parse_native, parse_preflib_soc, write_native
+from .profiles import (
+    MAX_DIGITS,
+    export_dot,
+    parse_graph,
+    parse_native,
+    parse_preflib_soc,
+    scan_profile,
+    write_native,
+)
 from .recognize import RecognitionResult, recognize
 
 
@@ -31,20 +39,23 @@ def _load_election(path: str, fmt: str) -> Election:
     return parse_native(data) if fmt == "native" else parse_preflib_soc(data)
 
 
-def _check_pipeline(election: Election, mode: Mode) -> tuple[RecognitionResult, ConnectivityGraph, float]:
+def _check_pipeline(
+    profile: Election | ProfileScan, mode: Mode
+) -> tuple[RecognitionResult, ConnectivityGraph, float]:
     start = time.perf_counter()
-    graph = build_graph(election, mode)
+    graph = build_graph(profile, mode)
     result = recognize(graph)
     return result, graph, (time.perf_counter() - start) * 1000.0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    election = _load_election(args.path, args.format)
-    if election.n >= 10**MAX_DIGITS:  # the report prints it; str() refuses longer ints
+    with open(args.path, "rb") as file:
+        profile = scan_profile(file, args.format)
+    if profile.n >= 10**MAX_DIGITS:  # the report prints it; str() refuses longer ints
         raise LinkDomainError(f"vote total has more than {MAX_DIGITS} digits")
     mode = Mode(args.mode)
-    result, graph, elapsed_ms = _check_pipeline(election, mode)
-    names = election.names
+    result, graph, elapsed_ms = _check_pipeline(profile, mode)
+    names = profile.names
     edge_count = len(graph.edges)
 
     if args.graph_out:
@@ -54,8 +65,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = {
             "input": args.path,
             "mode": mode.value,
-            "m": election.m,
-            "n": election.n,
+            "m": profile.m,
+            "n": profile.n,
             "edges": edge_count,
             "verdict": result.verdict,
             "witness": [names[c] for c in result.witness] if result.witness else None,
@@ -65,8 +76,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print(f"input:      {args.path}")
         print(f"mode:       {mode.value}")
-        print(f"candidates: {election.m}")
-        print(f"votes:      {election.n}")
+        print(f"candidates: {profile.m}")
+        print(f"votes:      {profile.n}")
         print(f"edges:      {edge_count}")
         if result.linked:
             print("verdict:    LINKED")
@@ -77,7 +88,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print("verdict:    NOT LINKED")
             cert = result.certificate
             print(f"seeds tried: {len(cert)}")
-            print(f"max stuck set size: {cert.max_stuck_size} of {election.m}")
+            print(f"max stuck set size: {cert.max_stuck_size} of {profile.m}")
         print(f"elapsed:    {elapsed_ms:.2f} ms")
     return 0 if result.linked else 1
 

@@ -80,7 +80,9 @@ class TooFewCandidates(LinkDomainError):
 
 
 class UnrepresentableName(LinkDomainError):
-    """Candidate name contains a character the native grammar reserves (',', '>', newline)."""
+    """Candidate name the native format cannot carry: it contains a character
+    the grammar reserves (',', '>', newline), is empty, or has surrounding
+    whitespace, which the parser trims."""
 
 
 class SeedNotEdge(LinkDomainError):

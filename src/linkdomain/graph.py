@@ -13,7 +13,7 @@ from itertools import accumulate, chain
 from typing import Iterable
 
 from .errors import TooFewCandidates
-from .model import Election
+from .model import Election, ProfileScan
 
 Edge = tuple[int, int]
 
@@ -88,23 +88,23 @@ def top_pair_set(election: Election) -> frozenset[tuple[int, int]]:
     """Ordered (first, second) pairs occurring in some vote; multiplicities collapse."""
     if election.m < 2:
         raise TooFewCandidates("top pairs need at least two candidates")
-    return frozenset((ranking[0], ranking[1]) for ranking, _ in election.votes)
+    return election.top_pairs
 
 
-def build_graph(election: Election, mode: Mode = Mode.STRONG) -> ConnectivityGraph:
+def build_graph(profile: Election | ProfileScan, mode: Mode = Mode.STRONG) -> ConnectivityGraph:
     """Connectivity graph of an election under the given edge rule.
 
     Strong: edge {a, b} iff both (a, b) and (b, a) occur as top pairs.
     Weak: edge {a, b} iff at least one of them occurs.
 
-    Depends only on the set of top pairs, so vote order and multiplicities
-    never matter. O(n + m^2) regardless of how many votes there are. A
+    Reads only the candidate count and the set of top pairs, so vote order
+    and multiplicities never matter, and a ProfileScan serves as well as an
+    Election. O(n + m^2) regardless of how many votes there are. A
     one-candidate election has no top pairs and gives the one-vertex graph.
     """
-    pairs = top_pair_set(election) if election.m > 1 else frozenset()
+    pairs = profile.top_pairs
     if mode is Mode.STRONG:
         edges = [(a, b) for a, b in pairs if a < b and (b, a) in pairs]
     else:
         edges = [(min(a, b), max(a, b)) for a, b in pairs]
-    return ConnectivityGraph(election.m, edges, mode)
-
+    return ConnectivityGraph(profile.m, edges, mode)

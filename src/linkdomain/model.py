@@ -54,6 +54,26 @@ class Election:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.candidates)
 
+    @property
+    def top_pairs(self) -> frozenset[tuple[int, int]]:
+        """Ordered (first, second) pairs occurring in some vote; none with one candidate."""
+        return frozenset(ranking[:2] for ranking, _ in self.votes) if self.m > 1 else frozenset()
+
+
+@dataclass(frozen=True)
+class ProfileScan:
+    """What profiles.scan_profile keeps of a valid profile: the candidate
+    names, the vote total and the top pairs. The connectivity graph depends
+    on nothing else, so build_graph accepts it in place of an Election."""
+
+    names: tuple[str, ...]
+    n: int
+    top_pairs: frozenset[tuple[int, int]]
+
+    @property
+    def m(self) -> int:
+        return len(self.names)
+
 
 def default_names(m: int) -> tuple[str, ...]:
     """Deterministic display names: a..z, then aa, ab, ... (bijective base 26)."""

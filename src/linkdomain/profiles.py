@@ -17,30 +17,40 @@ VOTERS`` are recognized, other keys ignored) followed by data lines
 ``<count>: <id>,<id>,...`` with 1-based alternative ids. Ties and
 incomplete orders are rejected as UnsupportedProfile.
 
+parse_native and parse_preflib_soc return the whole Election. scan_profile
+reads a profile file in chunks through the same line loops and keeps only
+what the connectivity graph needs, so `check` runs in memory bounded by the
+candidate count rather than the file size.
+
 Graph files are read by parse_graph. Every reader accepts bytes or str,
 raises only package errors, and gives every failure a line number.
 """
 
+import codecs
+import io
 import re
 import unicodedata
 from itertools import chain
-from typing import Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import (
     InconsistentMetadata,
+    InvalidElection,
+    ProfileError,
     ProfileSyntaxError,
     UnrepresentableName,
     UnsupportedProfile,
     Violation,
 )
 from .graph import ConnectivityGraph
-from .model import Election, Vote, default_names, index_candidates, make_election, resolve_ranking
+from .model import Election, ProfileScan, Vote, default_names, index_candidates, make_election, resolve_ranking
 from .model import validate_election  # noqa: F401 - perfbench's trace hooks look it up here
 
 MAX_DIGITS = 4300  # the longest decimal string int() converts by default
 MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices, accepted
 
-_RESERVED = (",", ">", "\n", "\r")
+_CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
+_CACHE_MISSES = 4096  # a parser's caches stop growing after this many misses in a row
 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
@@ -55,8 +65,61 @@ def _decode(text: str | bytes) -> str:
     try:
         return text.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = text.count(b"\n", 0, exc.start) + 1
-        raise ProfileSyntaxError(f"invalid UTF-8 ({exc.reason})", line=line) from None
+        raise _invalid_utf8(exc, 0) from None
+
+
+def _invalid_utf8(exc: UnicodeDecodeError, newlines: int) -> ProfileSyntaxError:
+    """The error for a decoding failure in bytes that follow `newlines` line feeds."""
+    line = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+    return ProfileSyntaxError(f"invalid UTF-8 ({exc.reason})", line=line)
+
+
+def _read_text(file: BinaryIO) -> Iterator[str]:
+    """The UTF-8 text of a binary file, _CHUNK_BYTES bytes at a time. Invalid
+    UTF-8 fails with the line _decode gives for the whole file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = 0  # in the bytes decoded so far; a partial character holds none
+    while True:
+        data = file.read(_CHUNK_BYTES)
+        try:
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            # exc.object is the partial character carried over, then data
+            raise _invalid_utf8(exc, newlines) from None
+        yield text
+        if not data:
+            return
+        newlines += data.count(b"\n")
+
+
+def _line_batches(chunks: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the concatenated chunks, as str.splitlines() gives them,
+    in one list per chunk that holds a line break. The last line, with its
+    ending, is read again with the next such chunk: it may go on there, or
+    end in a '\r' that the next chunk's '\n' completes. Chunks without a
+    break only gather, so a line longer than a chunk costs linear time."""
+    unfinished: list[str] = []
+    for chunk in chunks:
+        unfinished.append(chunk)
+        last = _last_line(chunk)
+        if not chunk or (len(last) == len(chunk) and last.splitlines() == [last]):
+            continue  # no line break in the chunk
+        text = "".join(unfinished)
+        lines = text.splitlines()
+        unfinished = [_last_line(text)]
+        lines.pop()
+        yield lines
+    yield "".join(unfinished).splitlines()
+
+
+def _last_line(text: str) -> str:
+    """The last line of text with its line ending, found from a short tail."""
+    size = 256
+    while True:
+        pieces = text[-size:].splitlines(keepends=True)
+        if len(pieces) > 1 or size >= len(text):
+            return pieces[-1] if pieces else ""
+        size *= 4
 
 
 def _decimal(digits: str) -> int | None:
@@ -69,86 +132,111 @@ def _decimal(digits: str) -> int | None:
     return int(digits) if len(digits) <= MAX_DIGITS else None
 
 
-def parse_native(text: str | bytes) -> Election:
-    """Parse the native profile format into a validated Election.
+class _NativeReader:
+    """The line loop of the native format, shared by parse_native and
+    scan_profile. rows() yields the ids and multiplicity of each valid
+    ranking line; once it is exhausted, names and violations hold the
+    header's names and every validation failure."""
 
-    Each ranking line is resolved to candidate ids as it is read. A
-    ranking written as write_native writes it, names joined by " > ", is
-    split there and looked up name by name; any other goes through
-    model.resolve_ranking. The ids of a valid ranking text are kept, so
-    every later line with the same text skips the resolution and shares
-    one tuple.
-    """
-    names: list[str] | None = None
-    index: dict[str, int] = {}
-    whole: dict[str, int] = {}  # the names a ranking split on " > " can match
-    m = 0
-    violations: list[Violation] = []
-    votes: list[tuple[Vote, int]] = []
-    rejected = 0  # ranking lines with violations; they keep their vote number
-    known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
-    mults: dict[str, int] = {}  # count field -> multiplicity
-    lines = _decode(text).splitlines()
+    replay = False  # only a soc file may need a second, whole read
 
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith(_HEADER_PREFIX):
-            if names is not None:
-                raise ProfileSyntaxError("second candidates: line", line=line_no, column=1)
-            header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
-            if "" in header:
-                raise ProfileSyntaxError("empty candidate name in header", line=line_no)
-            names, index = index_candidates(header, violations)
-            m = len(names)
-            # A name with '>' is cut apart in every ranking, so none can be valid.
-            whole = {} if any(">" in name for name in names) else index
-            continue
-        if names is None:
-            raise ProfileSyntaxError(
-                "ranking line before the candidates: header", line=line_no, column=1
-            )
-        count_part, sep, rest = line.partition(":")
-        if not sep:
-            raise ProfileSyntaxError("expected '<count>: <ranking>'", line=line_no, column=1)
-        mult = mults.get(count_part)
-        if mult is None:
-            count_str = count_part.strip()
-            mult = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.violations: list[Violation] = []
+
+    def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
+        """Each ranking line is resolved to candidate ids as it is read. A
+        ranking written as write_native writes it, names joined by " > ", is
+        split there and looked up name by name; any other goes through
+        model.resolve_ranking. The ids of a valid ranking text are cached, so
+        a later line with the same text skips the resolution and shares one
+        tuple; the cache stops growing after _CACHE_MISSES misses in a row."""
+        header_seen = False
+        index: dict[str, int] = {}
+        whole: dict[str, int] = {}  # the names a ranking split on " > " can match
+        m = 0
+        violations = self.violations
+        accepted = rejected = 0  # ranking lines without and with violations
+        known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
+        mults: dict[str, int] = {}  # count field -> multiplicity
+        known_misses = mult_misses = 0  # since the last hit
+        line_no = 0
+
+        for line_no, raw in enumerate(chain.from_iterable(_line_batches(chunks)), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith(_HEADER_PREFIX):
+                if header_seen:
+                    raise ProfileSyntaxError("second candidates: line", line=line_no, column=1)
+                header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
+                if "" in header:
+                    raise ProfileSyntaxError("empty candidate name in header", line=line_no)
+                header_seen = True
+                self.names, index = index_candidates(header, violations)
+                m = len(self.names)
+                # A name with '>' is cut apart in every ranking, so none can be valid.
+                whole = {} if any(">" in name for name in self.names) else index
+                continue
+            if not header_seen:
+                raise ProfileSyntaxError(
+                    "ranking line before the candidates: header", line=line_no, column=1
+                )
+            count_part, sep, rest = line.partition(":")
+            if not sep:
+                raise ProfileSyntaxError("expected '<count>: <ranking>'", line=line_no, column=1)
+            mult = mults.get(count_part)
             if mult is None:
-                raise ProfileSyntaxError(
-                    f"multiplicity has more than {MAX_DIGITS} digits",
-                    line=line_no,
-                    column=_column(raw, count_str),
-                )
-            if mult < 1:
-                raise ProfileSyntaxError(
-                    f"multiplicity must be a positive integer, got {count_str!r}",
-                    line=line_no,
-                    column=_column(raw, count_str),
-                )
-            mults[count_part] = mult
-        ids = known.get(rest)
-        if ids is None:
-            try:
-                ids = tuple(map(whole.__getitem__, rest.lstrip().split(" > ")))
-            except KeyError:
-                pass
-            if ids is None or len(ids) != m or len(set(ids)) != m:
-                ranking = list(map(str.strip, rest.split(">")))
-                if "" in ranking:
-                    raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
-                ids = resolve_ranking(ranking, index, m, len(votes) + rejected + 1, violations)
-                if ids is None:
-                    rejected += 1
-                    continue
-            known[rest] = ids
-        votes.append((ids, mult))
+                count_str = count_part.strip()
+                mult = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
+                if mult is None:
+                    raise ProfileSyntaxError(
+                        f"multiplicity has more than {MAX_DIGITS} digits",
+                        line=line_no,
+                        column=_column(raw, count_str),
+                    )
+                if mult < 1:
+                    raise ProfileSyntaxError(
+                        f"multiplicity must be a positive integer, got {count_str!r}",
+                        line=line_no,
+                        column=_column(raw, count_str),
+                    )
+                if mult_misses < _CACHE_MISSES:
+                    mults[count_part] = mult
+                mult_misses += 1
+            else:
+                mult_misses = 0
+            ids = known.get(rest)
+            if ids is None:
+                try:
+                    ids = tuple(map(whole.__getitem__, rest.lstrip().split(" > ")))
+                except KeyError:
+                    pass
+                if ids is None or len(ids) != m or len(set(ids)) != m:
+                    ranking = list(map(str.strip, rest.split(">")))
+                    if "" in ranking:
+                        raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
+                    ids = resolve_ranking(ranking, index, m, accepted + rejected + 1, violations)
+                    if ids is None:
+                        rejected += 1
+                        continue
+                if known_misses < _CACHE_MISSES:
+                    known[rest] = ids
+                known_misses += 1
+            else:
+                known_misses = 0
+            accepted += 1
+            yield ids, mult
 
-    if names is None:
-        raise ProfileSyntaxError("missing candidates: header", line=max(1, len(lines)))
-    return make_election(names, votes, violations)
+        if not header_seen:
+            raise ProfileSyntaxError("missing candidates: header", line=max(1, line_no))
+
+
+def parse_native(text: str | bytes) -> Election:
+    """Parse the native profile format into a validated Election."""
+    reader = _NativeReader()
+    votes = list(reader.rows([_decode(text)]))
+    return make_election(reader.names, votes, reader.violations)
 
 
 def _column(raw_line: str, token: str) -> int:
@@ -156,141 +244,173 @@ def _column(raw_line: str, token: str) -> int:
     return pos + 1 if pos >= 0 else 1
 
 
+class _SocReader:
+    """The line loop of the PrefLib soc format, shared by parse_preflib_soc
+    and scan_profile. rows() yields the 0-based ids and count of each data
+    line; once it is exhausted, names and violations are set, and replay
+    tells whether the rows must be read again by name (see
+    parse_preflib_soc)."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.index: dict[str, int] = {}
+        self.violations: list[Violation] = []
+        self.alt_names: dict[int, str] = {}
+        self.named_after: dict[int, int] = {}  # alternative -> data lines read before its name
+        self.replay = False
+
+    def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
+        """Data lines are read into 0-based id tuples, shared between lines
+        with the same order text while the cache grows (as in _NativeReader).
+        The metadata checks that need the whole file run once it is read."""
+        m: int | None = None
+        declared_voters: int | None = None
+        alt_names = self.alt_names
+        named_after = self.named_after
+        rows = 0
+        repeats_an_id = False
+        known: dict[str, Vote] = {}  # order text -> ids of a permutation
+        tokens: dict[str, int] = {}  # "1".."m" -> 0..m-1, once a line has m ids
+        counts: dict[str, int] = {}  # count field -> vote count
+        known_misses = count_misses = 0  # since the last hit
+        total_votes = 0
+        line_no = 0
+
+        def require_m(line_no: int) -> int:
+            if m is None:
+                raise InconsistentMetadata("NUMBER ALTERNATIVES was never declared", line=line_no)
+            return m
+
+        for line_no, raw in enumerate(chain.from_iterable(_line_batches(chunks)), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                match = _META_RE.match(line)
+                if not match:
+                    continue  # free-form comment
+                key, index, value = match.group(1).strip(), match.group(2), match.group(3)
+                if key == "NUMBER ALTERNATIVES" and not index:
+                    declared = _meta_int(key, value, line_no)
+                    shown = f"a number of more than {MAX_DIGITS} digits" if declared is None else declared
+                    if m is not None and declared != m:
+                        raise InconsistentMetadata(
+                            f"NUMBER ALTERNATIVES redeclared as {shown}, was {m}", line=line_no
+                        )
+                    if declared is None:
+                        raise UnsupportedProfile(
+                            f"NUMBER ALTERNATIVES is {shown}, beyond the supported size", line=line_no
+                        )
+                    if declared > MAX_VERTICES:
+                        raise UnsupportedProfile(
+                            f"{declared} alternatives is beyond the supported size", line=line_no
+                        )
+                    m = declared
+                elif key == "ALTERNATIVE NAME" and index:
+                    idx = _decimal(index)
+                    if idx is None:
+                        raise InconsistentMetadata(
+                            f"ALTERNATIVE NAME index has more than {MAX_DIGITS} digits", line=line_no
+                        )
+                    if idx in alt_names:
+                        raise InconsistentMetadata(
+                            f"ALTERNATIVE NAME {idx} declared twice", line=line_no
+                        )
+                    alt_names[idx] = value
+                    named_after[idx] = rows
+                elif key == "NUMBER VOTERS" and not index:
+                    declared_voters = _meta_int(key, value, line_no)
+                    if declared_voters is None:
+                        raise ProfileSyntaxError(
+                            f"NUMBER VOTERS has more than {MAX_DIGITS} digits", line=line_no
+                        )
+                # every other key is forward-compatible metadata
+                continue
+
+            if "{" in line or "}" in line:
+                raise UnsupportedProfile("orders with ties are not supported", line=line_no)
+            count_part, sep, rest = line.partition(":")
+            if not sep:
+                raise ProfileSyntaxError("expected '<count>: <id>,<id>,...'", line=line_no, column=1)
+            count = counts.get(count_part)
+            if count is None:
+                count_str = count_part.strip()
+                count = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
+                if count is None:
+                    raise ProfileSyntaxError(
+                        f"vote count has more than {MAX_DIGITS} digits", line=line_no, column=1
+                    )
+                if count < 1:
+                    raise ProfileSyntaxError(
+                        f"vote count must be a positive integer, got {count_str!r}",
+                        line=line_no,
+                        column=1,
+                    )
+                if count_misses < _CACHE_MISSES:
+                    counts[count_part] = count
+                count_misses += 1
+            else:
+                count_misses = 0
+            alternatives = require_m(line_no)
+            ids = known.get(rest)
+            if ids is None:
+                # lstrip takes the space after ':' off the first id; it changes no
+                # token once stripped, which is all _soc_ids looks at
+                parts = rest.lstrip().split(",")
+                if len(parts) == alternatives:
+                    if not tokens:
+                        tokens = {str(k): k - 1 for k in range(1, alternatives + 1)}
+                    try:
+                        ids = tuple(map(tokens.__getitem__, parts))
+                    except KeyError:
+                        pass
+                if ids is None:
+                    ids = _soc_ids(parts, alternatives, line_no)
+                if len(set(ids)) != alternatives:
+                    repeats_an_id = True
+                elif known_misses < _CACHE_MISSES:
+                    known[rest] = ids
+                known_misses += 1
+            else:
+                known_misses = 0
+            total_votes += count
+            rows += 1
+            yield ids, count
+
+        eof = max(1, line_no)
+        alternatives = require_m(eof)
+        for idx in alt_names:
+            if not 1 <= idx <= alternatives:
+                raise InconsistentMetadata(
+                    f"ALTERNATIVE NAME {idx} outside 1..{alternatives}", line=eof
+                )
+        if declared_voters is not None and declared_voters != total_votes:
+            # counts of up to MAX_DIGITS digits can sum to one str() refuses
+            total = total_votes if total_votes < 10**MAX_DIGITS else f"more than {MAX_DIGITS} digits"
+            raise InconsistentMetadata(
+                f"NUMBER VOTERS is {declared_voters} but data lines sum to {total}", line=eof
+            )
+        self.names, self.index = index_candidates(
+            [_alt_name(alt_names, i) for i in range(1, alternatives + 1)], self.violations
+        )
+        self.replay = bool(self.violations or repeats_an_id or any(named_after.values()))
+
+
 def parse_preflib_soc(text: str | bytes) -> Election:
     """Parse a PrefLib strict-complete-orders file into a validated Election.
 
-    Data lines are read into 0-based id tuples, shared between lines with
-    the same order text. Names are matched only at the end, and only when
-    they can change the outcome: a missing, empty or repeated name, an
-    order that repeats an id, or a name declared after a data line that
-    used the id's default name.
+    Names are matched only at the end, and only when they can change the
+    outcome: a missing, empty or repeated name, an order that repeats an id,
+    or a name declared after a data line that used the id's default name.
     """
-    m: int | None = None
-    declared_voters: int | None = None
-    alt_names: dict[int, str] = {}
-    named_after: dict[int, int] = {}  # alternative -> data lines read before its name
-    rows: list[tuple[Vote, int]] = []
-    repeats_an_id = False
-    known: dict[str, Vote] = {}  # order text -> ids of a permutation
-    tokens: dict[str, int] = {}  # "1".."m" -> 0..m-1, once a line has m ids
-    counts: dict[str, int] = {}  # count field -> vote count
-    total_votes = 0
-    lines = _decode(text).splitlines()
-
-    def require_m(line_no: int) -> int:
-        if m is None:
-            raise InconsistentMetadata("NUMBER ALTERNATIVES was never declared", line=line_no)
-        return m
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _META_RE.match(line)
-            if not match:
-                continue  # free-form comment
-            key, index, value = match.group(1).strip(), match.group(2), match.group(3)
-            if key == "NUMBER ALTERNATIVES" and not index:
-                declared = _meta_int(key, value, line_no)
-                shown = f"a number of more than {MAX_DIGITS} digits" if declared is None else declared
-                if m is not None and declared != m:
-                    raise InconsistentMetadata(
-                        f"NUMBER ALTERNATIVES redeclared as {shown}, was {m}", line=line_no
-                    )
-                if declared is None:
-                    raise UnsupportedProfile(
-                        f"NUMBER ALTERNATIVES is {shown}, beyond the supported size", line=line_no
-                    )
-                if declared > MAX_VERTICES:
-                    raise UnsupportedProfile(
-                        f"{declared} alternatives is beyond the supported size", line=line_no
-                    )
-                m = declared
-            elif key == "ALTERNATIVE NAME" and index:
-                idx = _decimal(index)
-                if idx is None:
-                    raise InconsistentMetadata(
-                        f"ALTERNATIVE NAME index has more than {MAX_DIGITS} digits", line=line_no
-                    )
-                if idx in alt_names:
-                    raise InconsistentMetadata(
-                        f"ALTERNATIVE NAME {idx} declared twice", line=line_no
-                    )
-                alt_names[idx] = value
-                named_after[idx] = len(rows)
-            elif key == "NUMBER VOTERS" and not index:
-                declared_voters = _meta_int(key, value, line_no)
-                if declared_voters is None:
-                    raise ProfileSyntaxError(
-                        f"NUMBER VOTERS has more than {MAX_DIGITS} digits", line=line_no
-                    )
-            # every other key is forward-compatible metadata
-            continue
-
-        if "{" in line or "}" in line:
-            raise UnsupportedProfile("orders with ties are not supported", line=line_no)
-        count_part, sep, rest = line.partition(":")
-        if not sep:
-            raise ProfileSyntaxError("expected '<count>: <id>,<id>,...'", line=line_no, column=1)
-        count = counts.get(count_part)
-        if count is None:
-            count_str = count_part.strip()
-            count = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
-            if count is None:
-                raise ProfileSyntaxError(
-                    f"vote count has more than {MAX_DIGITS} digits", line=line_no, column=1
-                )
-            if count < 1:
-                raise ProfileSyntaxError(
-                    f"vote count must be a positive integer, got {count_str!r}",
-                    line=line_no,
-                    column=1,
-                )
-            counts[count_part] = count
-        alternatives = require_m(line_no)
-        ids = known.get(rest)
-        if ids is None:
-            # lstrip takes the space after ':' off the first id; it changes no
-            # token once stripped, which is all _soc_ids looks at
-            parts = rest.lstrip().split(",")
-            if len(parts) == alternatives:
-                if not tokens:
-                    tokens = {str(k): k - 1 for k in range(1, alternatives + 1)}
-                try:
-                    ids = tuple(map(tokens.__getitem__, parts))
-                except KeyError:
-                    pass
-            if ids is None:
-                ids = _soc_ids(parts, alternatives, line_no)
-            if len(set(ids)) == alternatives:
-                known[rest] = ids
-            else:
-                repeats_an_id = True
-        total_votes += count
-        rows.append((ids, count))
-
-    eof = max(1, len(lines))
-    alternatives = require_m(eof)
-    for idx in alt_names:
-        if not 1 <= idx <= alternatives:
-            raise InconsistentMetadata(
-                f"ALTERNATIVE NAME {idx} outside 1..{alternatives}", line=eof
-            )
-    if declared_voters is not None and declared_voters != total_votes:
-        # counts of up to MAX_DIGITS digits can sum to one str() refuses
-        total = total_votes if total_votes < 10**MAX_DIGITS else f"more than {MAX_DIGITS} digits"
-        raise InconsistentMetadata(
-            f"NUMBER VOTERS is {declared_voters} but data lines sum to {total}", line=eof
-        )
-    violations: list[Violation] = []
-    names, index = index_candidates(
-        [_alt_name(alt_names, i) for i in range(1, alternatives + 1)], violations
-    )
-    if not (violations or repeats_an_id or any(named_after.values())):
+    reader = _SocReader()
+    rows = list(reader.rows([_decode(text)]))
+    if not reader.replay:
         # Every line named alternative a by names[a - 1], and the names are
         # distinct: each permutation resolves to itself.
-        return make_election(names, rows, violations)
+        return make_election(reader.names, rows, reader.violations)
+
+    alt_names, named_after = reader.alt_names, reader.named_after
 
     def read_as(alt: int, vote_no: int) -> str:
         """The name alternative alt had when data line vote_no was read."""
@@ -299,10 +419,47 @@ def parse_preflib_soc(text: str | bytes) -> Election:
     votes: list[tuple[Vote, int]] = []
     for vote_no, (ids, count) in enumerate(rows, start=1):
         ranking = [read_as(a + 1, vote_no).strip() for a in ids]
-        resolved = resolve_ranking(ranking, index, len(names), vote_no, violations)
+        resolved = resolve_ranking(ranking, reader.index, len(reader.names), vote_no, reader.violations)
         if resolved is not None:
             votes.append((resolved, count))
-    return make_election(names, votes, violations)
+    return make_election(reader.names, votes, reader.violations)
+
+
+def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
+    """What `check` needs of a profile in the given format ("native" or
+    "soc"): its names, vote total and top pairs, read from a binary file
+    _CHUNK_BYTES at a time.
+
+    Accepts exactly the profiles parse_native or parse_preflib_soc accept,
+    and fails on the others with the same error. Memory is O(m^2) plus the
+    ranking caches and one chunk, not O(file size). A soc file whose rows
+    must be read again by name is read whole by parse_preflib_soc; a soc
+    file that cannot seek back for that, such as a pipe, is read whole first.
+    """
+    if fmt == "native":
+        reader, start = _NativeReader(), 0
+    else:
+        if not file.seekable():
+            file = io.BytesIO(file.read())
+        reader, start = _SocReader(), file.tell()
+    n = 0
+    tops: set[tuple[int, ...]] = set()
+    chunks = _read_text(file)
+    try:
+        for ids, mult in reader.rows(chunks):
+            n += mult
+            tops.add(ids[:2])
+    except ProfileError:
+        for _ in chunks:  # invalid UTF-8 anywhere fails first, as it does in parse_*
+            pass
+        raise
+    if reader.replay:
+        file.seek(start)
+        election = parse_preflib_soc(file.read())
+        return ProfileScan(election.names, election.n, election.top_pairs)
+    if reader.violations:
+        raise InvalidElection(reader.violations)
+    return ProfileScan(tuple(reader.names), n, frozenset(tops) if len(reader.names) > 1 else frozenset())
 
 
 def _meta_int(key: str, value: str, line_no: int) -> int | None:
@@ -353,9 +510,15 @@ def _alt_name(alt_names: dict[int, str], idx: int) -> str:
 def write_native(election: Election) -> str:
     """Serialize an Election to the native format; parse_native inverts this exactly."""
     for name in election.names:
-        if any(ch in name for ch in _RESERVED):
+        # the parser splits lines with str.splitlines, at more breaks than '\n'
+        if "," in name or ">" in name or (name and name.splitlines() != [name]):
             raise UnrepresentableName(
-                f"candidate name {name!r} contains a reserved character (',', '>', newline)"
+                f"candidate name {name!r} contains a reserved character (',', '>', line break)"
+            )
+        if not name or name != name.strip():
+            raise UnrepresentableName(
+                f"candidate name {name!r} is empty or has surrounding whitespace, "
+                "which parse_native would not read back"
             )
     lines = ["candidates: " + ", ".join(election.names)]
     names = election.names

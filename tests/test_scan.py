@@ -1,0 +1,223 @@
+"""scan_profile, the streamed reader behind `check`, against the whole-text
+parsers: the same names, vote total and top pairs, or the same error, for
+every chunk size down to one byte."""
+
+import io
+import os
+import tracemalloc
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from linkdomain import (
+    ConnectivityGraph,
+    UnrepresentableName,
+    export_dot,
+    gen_edge_realizing,
+    parse_native,
+    parse_preflib_soc,
+    profiles,
+    scan_profile,
+    write_native,
+)
+from linkdomain.cli import main
+from test_parser_parity import CORPUS, NATIVE_POOL, SOC_POOL, mutated, native_tokens, outcome, soc_tokens
+
+PARSE = {"native": parse_native, "soc": parse_preflib_soc}
+
+
+def expected(fmt, data):
+    def summary():
+        e = PARSE[fmt](data)
+        return e.names, e.n, e.top_pairs
+
+    return outcome(summary)
+
+
+def scanned(fmt, data, file=None):
+    def summary():
+        s = scan_profile(file or io.BytesIO(data), fmt)
+        return s.names, s.n, s.top_pairs
+
+    return outcome(summary)
+
+
+def assert_scan_matches(monkeypatch, fmt, data, chunk_sizes=range(1, 8)):
+    want = expected(fmt, data)
+    for size in chunk_sizes:
+        monkeypatch.setattr(profiles, "_CHUNK_BYTES", size)
+        assert scanned(fmt, data) == want, f"chunk size {size}"
+
+
+@pytest.mark.parametrize("fmt, text", CORPUS)
+def test_corpus_matches_parsers_at_every_chunk_size(monkeypatch, fmt, text):
+    assert_scan_matches(monkeypatch, fmt, text.encode("utf-8"))
+
+
+@given(mutated(native_tokens(), NATIVE_POOL), st.integers(1, 7))
+def test_native_matches_parser_on_mutated_profiles(text, size):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_scan_matches(monkeypatch, "native", text.encode("utf-8"), [size])
+
+
+@given(mutated(soc_tokens(), SOC_POOL), st.integers(1, 7))
+def test_soc_matches_parser_on_mutated_profiles(text, size):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_scan_matches(monkeypatch, "soc", text.encode("utf-8"), [size])
+
+
+BOUNDARIES = [
+    # a line ending or space that a chunk boundary can split
+    ("native", b"candidates: a, b\r\n1: a > b\r\n\r\n2: b > a\r\n1 a > b\r\n"),
+    ("native", b"candidates: a, b\x0c1: a > b\x0c\x0c1 a > b\n"),
+    ("native", b"candidates: a, b\n1: a > b\n1 : b  >  a\n 3 :a>b\n1 a\n"),
+    ("soc", b"# NUMBER ALTERNATIVES: 2\r\n1: 1,2\r\n\r\n1: 2 , 1\r\n1 2\r\n"),
+    # multi-byte characters, split at every byte
+    ("native", "candidates: é, €, 𝄞\n1: é > € > 𝄞\n2: € > é > 𝄞\n1: 𝄞 > x\n".encode("utf-8")),
+    ("soc", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: €𝄞\n1: 1,2\n١: 2,1\n".encode("utf-8")),
+    # invalid UTF-8 in a later chunk, also after a line that fails to parse
+    ("native", b"candidates: a, b\n1: a > b\n1: b > a\n1: a > \xff b\n"),
+    ("native", b"candidates: a, b\n1 a > b\n1: b > a\n\xe2\x82\n"),
+    ("native", b"1: a > b\n\n\n\xe2A"),
+    ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,3\n1: 2,1\n\xf0\x90\x80"),
+    # no trailing newline, and an empty file
+    ("native", b"candidates: a, b\n1: a > b\n2: b > a"),
+    ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,2"),
+    ("native", b""),
+    ("soc", b""),
+    ("native", b"\n\n\r"),
+]
+
+
+@pytest.mark.parametrize("fmt, data", BOUNDARIES)
+def test_chunk_boundaries(monkeypatch, fmt, data):
+    assert_scan_matches(monkeypatch, fmt, data, range(1, 8))
+
+
+def test_invalid_utf8_in_a_later_chunk_keeps_its_line(monkeypatch):
+    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 4)
+    data = b"candidates: a, b\n" + b"1: a > b\n" * 20 + b"1 a > b\n" + b"1: \xff\n"
+    with pytest.raises(profiles.ProfileSyntaxError) as info:
+        scan_profile(io.BytesIO(data), "native")
+    assert str(info.value) == "line 23: invalid UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize(
+    "fmt, data, summary",
+    [
+        # the name declared after the data line renames alternative 1's votes
+        ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n",
+         (("2", "1"), 1, {(1, 0)})),
+        ("native", b"candidates: a, b\n2: b > a\n", (("a", "b"), 2, {(1, 0)})),
+    ],
+)
+def test_a_pipe_is_read(fmt, data, summary):
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        assert not pipe.seekable()
+        assert scanned(fmt, data, pipe) == expected(fmt, data) == ("ok", summary)
+
+
+def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
+    monkeypatch.setattr(profiles, "_CACHE_MISSES", 2)
+    calls = []
+    resolve = profiles.resolve_ranking
+    monkeypatch.setattr(profiles, "resolve_ranking", lambda *args: calls.append(args[0]) or resolve(*args))
+    # spaced texts always go through resolve_ranking when they miss the cache
+    texts = ["a>b>c", "b>a>c", "c>b>a", "a>b>c", "c>b>a", "c>b>a", "a>b>c"]
+    e = parse_native("candidates: a, b, c\n" + "".join(f"1: {t}\n" for t in texts))
+    # the third miss in a row is not cached; the hit that follows lets it in
+    assert [",".join(r) for r in calls] == ["a,b,c", "b,a,c", "c,b,a", "c,b,a"]
+    assert len(e.votes) == len(texts)
+
+
+@pytest.mark.parametrize(
+    "parse, head, ranking, header_calls",
+    [
+        (parse_native, "candidates: a\n", "a", []),
+        (parse_preflib_soc, "# NUMBER ALTERNATIVES: 1\n", "1", ["1"]),  # read with _decimal too
+    ],
+)
+def test_count_cache_stops_growing_after_misses_in_a_row(monkeypatch, parse, head, ranking, header_calls):
+    monkeypatch.setattr(profiles, "_CACHE_MISSES", 2)
+    calls = []
+    decimal = profiles._decimal
+    monkeypatch.setattr(profiles, "_decimal", lambda digits: calls.append(digits) or decimal(digits))
+    counts = ["1", "2", "3", "1", "3", "3", "1"]
+    e = parse(head + "".join(f"{count}: {ranking}\n" for count in counts))
+    assert calls == header_calls + ["1", "2", "3", "3"]
+    assert e.n == 14
+
+
+def _no_repeat_profile(lines: int) -> bytes:
+    """lines distinct rankings of 12 candidates, no ranking text twice."""
+    names = [f"c{i}" for i in range(12)]
+    out = ["candidates: " + ", ".join(names)]
+    for k in range(lines):
+        order, digits = list(range(12)), k
+        for i in range(11, 0, -1):  # k's digits in the factorial base, as swaps
+            digits, j = divmod(digits, i + 1)
+            order[i], order[j] = order[j], order[i]
+        out.append("1: " + " > ".join(names[c] for c in order))
+    return ("\n".join(out) + "\n").encode()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_is_bounded_by_chunks_not_file_size(tmp_path, monkeypatch):
+    # Chunk and cache are scaled down with the file: tracemalloc makes each
+    # allocation about 20 times slower, so a file of realistic size is slow.
+    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
+    monkeypatch.setattr(profiles, "_CACHE_MISSES", 256)
+    path = tmp_path / "big.profile"
+    path.write_bytes(_no_repeat_profile(5_000))
+
+    def scan():
+        with open(path, "rb") as file:
+            assert scan_profile(file, "native").n == 5_000
+
+    scan()  # first-call allocations are not the scan's
+    scan_peak = _traced_peak(scan)
+    parse_peak = _traced_peak(lambda: parse_native(path.read_bytes()))
+    assert scan_peak < 2**19
+    assert scan_peak < parse_peak / 4, (scan_peak, parse_peak)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("", "empty or has surrounding whitespace"),
+        (" pad", "empty or has surrounding whitespace"),
+        ("pad ", "empty or has surrounding whitespace"),
+        ("\tpad", "empty or has surrounding whitespace"),
+        ("a\x0cb", "reserved character"),
+        ("a\u2028b", "reserved character"),
+        ("a\rb", "reserved character"),
+    ],
+)
+def test_write_native_rejects_names_it_cannot_read_back(name, message):
+    e = gen_edge_realizing(ConnectivityGraph(2, [(0, 1)]), (name, "b"))
+    with pytest.raises(UnrepresentableName, match=message):
+        write_native(e)
+
+
+@pytest.mark.parametrize("name", ["", " pad "])
+def test_gen_rejects_names_it_cannot_read_back(tmp_path, capsys, name):
+    dot = tmp_path / "g.dot"
+    dot.write_text(export_dot(ConnectivityGraph(3, [(0, 1), (1, 2)]), (name, "b", "c")))
+    out = tmp_path / "g.profile"
+    assert main(["gen", "--model", "edges", "--graph", str(dot), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty or has surrounding whitespace" in captured.err
+    assert not out.exists()
