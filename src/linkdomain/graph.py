@@ -26,49 +26,57 @@ class Mode(str, Enum):
 class ConnectivityGraph:
     """Immutable undirected graph on vertices 0..m-1, no self-loops.
 
-    Adjacency lists are sorted and symmetric; edges are normalized to
-    (u, v) with u < v and kept in ascending order. Equality compares the
-    vertex count and edges (mode is provenance, not structure).
+    The adjacency is kept once, in CSR form: row v of `indices` is
+    indices[indptr[v]:indptr[v + 1]], ascending and free of duplicates, and
+    the rows are symmetric. Edges are normalized to (u, v) with u < v and
+    kept in ascending order. `edges`, neighbors(), degree(), has_edge() and
+    csr_arrays() read the graph. Equality compares the vertex count and
+    edges (mode is provenance, not structure).
     """
 
-    __slots__ = ("m", "mode", "edges", "adjacency")
+    __slots__ = ("m", "mode", "edges", "_indptr", "_indices")
 
     def __init__(self, m: int, edges: Iterable[Edge], mode: Mode | None = None):
         if m < 1:
             raise ValueError("graph needs at least one vertex")
-        normalized = set()
+        rows: list[list[int]] = [[] for _ in range(m)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < m and 0 <= v < m):
                 raise ValueError(f"edge ({u}, {v}) outside 0..{m - 1}")
-            normalized.add((u, v) if u < v else (v, u))
+            rows[u].append(v)
+            rows[v].append(u)
+        # Rows are replaced one at a time rather than rebuilt as a new list,
+        # and freed before `edges` is built: both keep the peak memory down.
+        for v, row in enumerate(rows):
+            if len(row) > 1:
+                rows[v] = sorted(set(row))
         self.m = m
         self.mode = mode
-        self.edges: tuple[Edge, ...] = tuple(sorted(normalized))
-        neighbors: list[list[int]] = [[] for _ in range(m)]
-        # Ascending edges append each row's entries in ascending order.
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, neighbors))
+        self._indptr: tuple[int, ...] = tuple(accumulate(map(len, rows), initial=0))
+        self._indices: tuple[int, ...] = tuple(chain.from_iterable(rows))
+        del rows
+        # Rows are ascending, so the entries above u give u's edges in ascending order.
+        self.edges: tuple[Edge, ...] = tuple((u, w) for u in range(m) for w in self.neighbors(u) if w > u)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self._indptr[v + 1] - self._indptr[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.m and v in self.adjacency[u]
+        return 0 <= u < self.m and v in self.neighbors(u)
 
-    def csr_arrays(self) -> tuple[list[int], list[int]]:
-        """Adjacency in CSR form (indptr, indices) as lists, built on each call."""
-        indptr = list(accumulate(map(len, self.adjacency), initial=0))
-        return indptr, list(chain.from_iterable(self.adjacency))
+    def csr_arrays(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The stored adjacency in CSR form (indptr, indices): the same two
+        tuples on every call, so reading them costs nothing."""
+        return self._indptr, self._indices
 
     def seed_arrays(self) -> tuple[list[int], list[int]]:
-        """Edge endpoints as parallel lists (lower end, higher end), in ascending edge order."""
+        """Edge endpoints as parallel lists (lower end, higher end), in
+        ascending edge order; built from `edges` on each call, in O(|E|)."""
         return [u for u, _ in self.edges], [v for _, v in self.edges]
 
     def __eq__(self, other: object) -> bool:

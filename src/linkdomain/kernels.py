@@ -1,8 +1,10 @@
 """Seed sweep: the 2-neighbor closure from every seed edge, in pure Python.
 
 Kernel contract, sweep_seeds(indptr, indices, seed_u, seed_v, m, sizes_out)
--> order, on plain lists (CSR adjacency, parallel seed endpoint lists,
-and sizes_out with one slot per seed):
+-> order. indptr and indices are the CSR sequences the graph stores, as
+ConnectivityGraph.csr_arrays() returns them (read, never copied or
+written); seed_u and seed_v are parallel seed endpoint lists, and
+sizes_out a list with one slot per seed:
 
 - order is the absorption order of the first seed, in the given order,
   whose closure covers all m vertices (a linked order: each vertex after
@@ -29,6 +31,7 @@ never lowers another vertex's count), so the FIFO worklist reaches the
 same set as any other tie-break.
 """
 
+from collections.abc import Sequence
 from itertools import chain
 from operator import sub
 
@@ -41,10 +44,10 @@ def heavy_cut(m: int) -> int:
 
 
 def sweep_seeds(
-    indptr: list[int],
-    indices: list[int],
-    seed_u: list[int],
-    seed_v: list[int],
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    seed_u: Sequence[int],
+    seed_v: Sequence[int],
     m: int,
     sizes_out: list[int],
 ) -> list[int] | None:
@@ -60,9 +63,10 @@ def sweep_seeds(
     heavy vertex it absorbs and once more for the first, when it also
     rereads the adjacency of the light vertices absorbed before it (a seed
     that absorbs no heavy vertex does no bitset work); the adjacency is read
-    only by slicing `indices`. A seed that passes the filter absorbs the
-    common neighbor, so every seed run sticks at three or more vertices, and
-    its stuck set is recorded for the subsumption test.
+    only by slicing rows out of the graph's stored `indices`, which is never
+    copied whole. A seed that passes the filter absorbs the common neighbor,
+    so every seed run sticks at three or more vertices, and its stuck set is
+    recorded for the subsumption test.
     """
     ptr = indptr
     cut = heavy_cut(m)

@@ -141,11 +141,12 @@ def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:
         return True
     if not graph.has_edge(order[0], order[1]):
         return False
+    indptr, indices = graph.csr_arrays()
     placed = [False] * graph.m
     placed[order[0]] = True
     placed[order[1]] = True
     for v in order[2:]:
-        if sum(map(placed.__getitem__, graph.adjacency[v])) < 2:
+        if sum(map(placed.__getitem__, indices[indptr[v] : indptr[v + 1]])) < 2:
             return False
         placed[v] = True
     return True
@@ -165,10 +166,9 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     if graph.m == 1:
         return RecognitionResult(linked=True, witness=(0,))
 
-    indptr, indices = graph.csr_arrays()
-    seed_u, seed_v = graph.seed_arrays()
     sizes = [0] * len(graph.edges)
-    order = kernels.sweep_seeds(indptr, indices, seed_u, seed_v, graph.m, sizes)
+    # The seed lists live only for the sweep, not through verify_witness.
+    order = kernels.sweep_seeds(*graph.csr_arrays(), *graph.seed_arrays(), graph.m, sizes)
 
     if order is None:
         return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from linkdomain import (
     TooFewCandidates,
     build_graph,
     export_dot,
+    gen_linked_graph,
+    recognize,
     top_pair_set,
 )
 from linkdomain.model import election_from_ids
@@ -96,8 +100,9 @@ class TestBuildGraph:
 class TestConnectivityGraph:
     def test_adjacency_symmetric_and_sorted(self):
         g = ConnectivityGraph(4, [(2, 0), (3, 0), (1, 0)])
-        assert g.adjacency[0] == (1, 2, 3)
-        assert all(0 in g.adjacency[v] for v in (1, 2, 3))
+        assert g.neighbors(0) == (1, 2, 3)
+        assert all(g.neighbors(v) == (0,) for v in (1, 2, 3))
+        assert [g.degree(v) for v in range(4)] == [3, 1, 1, 1]
         assert g.edges == ((0, 1), (0, 2), (0, 3))
 
     def test_duplicate_edges_collapse(self):
@@ -142,16 +147,35 @@ class TestConnectivityGraph:
         for edges in (given_edges, given_edges[::-1]):
             rebuilt = ConnectivityGraph(g.m, edges)
             assert rebuilt.edges == g.edges
-            for v, row in enumerate(rebuilt.adjacency):
+            indptr, indices = rebuilt.csr_arrays()
+            # Built once: every call hands back the same two immutable tuples.
+            again = rebuilt.csr_arrays()
+            assert again[0] is indptr and again[1] is indices
+            assert type(indptr) is tuple and type(indices) is tuple
+            assert len(indptr) == g.m + 1 and indptr[0] == 0
+            assert indptr[-1] == len(indices) == 2 * len(g.edges)
+            rows = [indices[indptr[v] : indptr[v + 1]] for v in range(g.m)]
+            for v, row in enumerate(rows):
+                assert row == rebuilt.neighbors(v) and len(row) == rebuilt.degree(v)
                 assert list(row) == sorted(set(row))
-                assert all(v in rebuilt.adjacency[w] for w in row)
-            assert sum(map(len, rebuilt.adjacency)) == 2 * len(g.edges)
+                assert all(v in rows[w] for w in row)
+            assert rebuilt.edges == tuple((u, w) for u, row in enumerate(rows) for w in row if w > u)
 
-    def test_csr_matches_adjacency(self):
-        g = ConnectivityGraph(4, [(0, 1), (1, 2), (0, 3)])
-        indptr, indices = g.csr_arrays()
-        for v in range(4):
-            assert tuple(indices[indptr[v]:indptr[v + 1]]) == g.adjacency[v]
+    def test_memory_peak_of_build_and_recognize(self):
+        # Traced bytes allocated while building and recognizing a linked
+        # graph with 10,497 edges. The limit is the peak of the build that
+        # kept sorted tuple rows and flattened them into CSR lists on every
+        # recognize call (1,753,232 bytes on CPython 3.11); one CSR built
+        # once peaks at 1,445,060. Catches a second copy of the adjacency.
+        edges = list(gen_linked_graph(5000, 500, seed=1).edges)
+        tracemalloc.start()
+        try:
+            result = recognize(ConnectivityGraph(5000, edges))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.linked
+        assert peak <= 1_753_232
 
 
 class TestExportDot:
