@@ -8,8 +8,10 @@ equivalent of any external definition. Linkedness of an election depends
 only on this graph, so everything downstream consumes it.
 """
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, lt, sub
 from typing import Iterable
 
 from .errors import TooFewCandidates
@@ -26,15 +28,19 @@ class Mode(str, Enum):
 class ConnectivityGraph:
     """Immutable undirected graph on vertices 0..m-1, no self-loops.
 
-    The adjacency is kept once, in CSR form: row v of `indices` is
+    Four flat tuples, built once in the constructor, are the graph. The
+    adjacency is in CSR form: row v of `indices` is
     indices[indptr[v]:indptr[v + 1]], ascending and free of duplicates, and
-    the rows are symmetric. Edges are normalized to (u, v) with u < v and
-    kept in ascending order. `edges`, neighbors(), degree(), has_edge() and
-    csr_arrays() read the graph. Equality compares the vertex count and
-    edges (mode is provenance, not structure).
+    the rows are symmetric. The seed lists `seed_u` and `seed_v` hold each
+    edge's lower and higher end, in ascending edge order. csr_arrays() and
+    seed_arrays() return the stored tuples; neighbors(), degree() and
+    has_edge() read the rows. `edges`, the pairs (u, v) with u < v in
+    ascending order, is built from the seed lists on first access and kept.
+    Equality compares the vertex count and the seed lists (mode is
+    provenance, not structure).
     """
 
-    __slots__ = ("m", "mode", "edges", "_indptr", "_indices")
+    __slots__ = ("m", "mode", "_indptr", "_indices", "_seed_u", "_seed_v", "_edges")
 
     def __init__(self, m: int, edges: Iterable[Edge], mode: Mode | None = None):
         if m < 1:
@@ -47,18 +53,41 @@ class ConnectivityGraph:
                 raise ValueError(f"edge ({u}, {v}) outside 0..{m - 1}")
             rows[u].append(v)
             rows[v].append(u)
-        # Rows are replaced one at a time rather than rebuilt as a new list,
-        # and freed before `edges` is built: both keep the peak memory down.
-        for v, row in enumerate(rows):
-            if len(row) > 1:
-                rows[v] = sorted(set(row))
+        for row in rows:
+            row.sort()
+        indptr = tuple(accumulate(map(len, rows), initial=0))
+        indices = tuple(chain.from_iterable(rows))
+        # An entry equal to the one before it repeats an edge, unless it
+        # starts a row (row v ends where row v + 1 starts). Only the rows
+        # holding a true repeat are rebuilt.
+        repeated = set()
+        for i in compress(count(1), map(eq, indices, islice(indices, 1, None))):
+            v = bisect_right(indptr, i) - 1  # the row holding entry i
+            if indptr[v] != i:
+                repeated.add(v)
+        if repeated:
+            for v in repeated:
+                rows[v] = sorted(set(rows[v]))
+            indptr = tuple(accumulate(map(len, rows), initial=0))
+            indices = tuple(chain.from_iterable(rows))
+        del rows
         self.m = m
         self.mode = mode
-        self._indptr: tuple[int, ...] = tuple(accumulate(map(len, rows), initial=0))
-        self._indices: tuple[int, ...] = tuple(chain.from_iterable(rows))
-        del rows
-        # Rows are ascending, so the entries above u give u's edges in ascending order.
-        self.edges: tuple[Edge, ...] = tuple((u, w) for u in range(m) for w in self.neighbors(u) if w > u)
+        self._indptr = indptr
+        self._indices = indices
+        # Rows are ascending, so the entries w > u of row u, taken row by
+        # row, are the edges in ascending order.
+        owners = list(chain.from_iterable(map(repeat, range(m), map(sub, indptr[1:], indptr))))
+        upper = bytes(map(lt, owners, indices))
+        self._seed_u: tuple[int, ...] = tuple(compress(owners, upper))
+        self._seed_v: tuple[int, ...] = tuple(compress(indices, upper))
+        self._edges: tuple[Edge, ...] | None = None
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = tuple(zip(self._seed_u, self._seed_v))
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
@@ -67,29 +96,33 @@ class ConnectivityGraph:
         return self._indptr[v + 1] - self._indptr[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.m and v in self.neighbors(u)
+        if not 0 <= u < self.m:
+            return False
+        hi = self._indptr[u + 1]
+        i = bisect_left(self._indices, v, self._indptr[u], hi)
+        return i < hi and self._indices[i] == v
 
     def csr_arrays(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The stored adjacency in CSR form (indptr, indices): the same two
         tuples on every call, so reading them costs nothing."""
         return self._indptr, self._indices
 
-    def seed_arrays(self) -> tuple[list[int], list[int]]:
-        """Edge endpoints as parallel lists (lower end, higher end), in
-        ascending edge order; built from `edges` on each call, in O(|E|)."""
-        return [u for u, _ in self.edges], [v for _, v in self.edges]
+    def seed_arrays(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The stored seed lists (lower ends, higher ends), in ascending edge
+        order: the same two tuples on every call, so reading them costs nothing."""
+        return self._seed_u, self._seed_v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConnectivityGraph):
             return NotImplemented
-        return self.m == other.m and self.edges == other.edges
+        return (self.m, self._seed_u, self._seed_v) == (other.m, other._seed_u, other._seed_v)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.edges))
+        return hash((self.m, self._seed_u, self._seed_v))
 
     def __repr__(self) -> str:
         mode = f", mode={self.mode.value}" if self.mode else ""
-        return f"ConnectivityGraph(m={self.m}, edges={len(self.edges)}{mode})"
+        return f"ConnectivityGraph(m={self.m}, edges={len(self._seed_u)}{mode})"
 
 
 def top_pair_set(election: Election) -> frozenset[tuple[int, int]]:

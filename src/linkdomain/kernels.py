@@ -2,9 +2,10 @@
 
 Kernel contract, sweep_seeds(indptr, indices, seed_u, seed_v, m, sizes_out)
 -> order. indptr and indices are the CSR sequences the graph stores, as
-ConnectivityGraph.csr_arrays() returns them (read, never copied or
-written); seed_u and seed_v are parallel seed endpoint lists, and
-sizes_out a list with one slot per seed:
+ConnectivityGraph.csr_arrays() returns them, and seed_u and seed_v the
+parallel seed endpoint sequences it stores, as seed_arrays() returns them
+(all four read, never copied or written); sizes_out is a list with one
+slot per seed:
 
 - order is the absorption order of the first seed, in the given order,
   whose closure covers all m vertices (a linked order: each vertex after

@@ -596,9 +596,8 @@ def export_dot(graph: ConnectivityGraph, names: Sequence[str]) -> str:
     if len(names) != graph.m:
         raise ValueError(f"expected {graph.m} names, got {len(names)}")
     lines = ["graph {"]
-    covered = {v for edge in graph.edges for v in edge}
     for v in range(graph.m):
-        if v not in covered:
+        if graph.degree(v) == 0:
             lines.append(f"  {_dot_quote(names[v])};")
     for u, v in graph.edges:
         lines.append(f"  {_dot_quote(names[u])} -- {_dot_quote(names[v])};")

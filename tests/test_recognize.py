@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
@@ -20,6 +21,7 @@ from linkdomain import (
     verify_witness,
 )
 from linkdomain.model import election_from_ids
+from linkdomain.oracle import enumerate_graphs
 
 from strategies import graphs, graphs_with_edges
 
@@ -96,11 +98,38 @@ class TestVerifyWitness:
     def test_single_vertex_vacuous(self):
         assert verify_witness(ConnectivityGraph(1, []), (0,)) is True
 
-    def test_not_a_permutation(self):
+    @pytest.mark.parametrize(
+        "graph, witness",
+        [(K3, w) for w in [(0, 1), (0, 1, 2, 0), (0, 1, 1), (0, 1, -1), (-3, 1, 2), (0, 1, 3), (0, 1, 2.0), (0, 1, "2")]]
+        + [(ConnectivityGraph(1, []), w) for w in [(), (1,), (-1,), ("0",), (None,), (0, 0)]],
+    )
+    def test_not_a_permutation(self, graph, witness):
+        # -1 and -3 would index the position array from the end, onto the
+        # one slot left free (2 and 0), so they pass unless rejected.
         with pytest.raises(NotAPermutation):
-            verify_witness(K3, (0, 1, 1))
-        with pytest.raises(NotAPermutation):
-            verify_witness(K3, (0, 1))
+            verify_witness(graph, witness)
+
+    def test_swapping_two_entries_breaks_a_witness(self):
+        # 0-1-2-3 with chords {0, 2} and {1, 3}: (0, 1, 2, 3) is linked, but
+        # 3 moved before 2 has only one earlier neighbor, 1.
+        g = ConnectivityGraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+        assert verify_witness(g, (0, 1, 2, 3)) is True
+        assert verify_witness(g, (0, 1, 3, 2)) is False
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_agrees_with_the_definition_on_all_small_graphs(self, m):
+        for g in enumerate_graphs(m):
+            edges = set(g.edges)
+            for order in permutations(range(m)):
+                linked = m == 1 or (
+                    (min(order[:2]), max(order[:2])) in edges
+                    and all(
+                        sum((min(u, v), max(u, v)) in edges for u in order[:i]) >= 2
+                        for i, v in enumerate(order)
+                        if i >= 2
+                    )
+                )
+                assert verify_witness(g, order) is linked, (g.edges, order)
 
 
 class TestRecognize:
