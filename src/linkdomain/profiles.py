@@ -17,10 +17,13 @@ VOTERS`` are recognized, other keys ignored) followed by data lines
 ``<count>: <id>,<id>,...`` with 1-based alternative ids. Ties and
 incomplete orders are rejected as UnsupportedProfile.
 
-parse_native and parse_preflib_soc return the whole Election. scan_profile
-reads a profile file in chunks through the same line loops and keeps only
-what the connectivity graph needs, so `check` runs in memory bounded by the
-candidate count rather than the file size.
+parse_native and parse_preflib_soc return the whole Election, read by a
+line loop per format. scan_profile reads a profile file in chunks and keeps
+only what the connectivity graph needs, so `check` runs in memory bounded
+by the candidate count rather than the file size. It checks the lines a
+batch at a time with C-level built-ins over whole lists (_BatchStep), and
+hands every batch that step cannot vouch for to the parsers' line loop,
+which alone raises and records violations.
 
 Graph files are read by parse_graph. Every reader accepts bytes or str,
 raises only package errors, and gives every failure a line number.
@@ -30,7 +33,8 @@ import codecs
 import io
 import re
 import unicodedata
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import add, methodcaller, mul, not_
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -51,6 +55,8 @@ MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices, ac
 
 _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
 _CACHE_MISSES = 4096  # a parser's caches stop growing after this many misses in a row
+_BATCH_LINES = 1000  # scan_profile's batch step takes at most this many lines at once
+_BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 64 bits
 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
@@ -132,37 +138,132 @@ def _decimal(digits: str) -> int | None:
     return int(digits) if len(digits) <= MAX_DIGITS else None
 
 
+class _BatchStep:
+    """scan_profile's step for a list of ranking lines of one file, taken
+    with C-level built-ins over whole lists instead of Python statements per
+    line. It vouches for the vote total and top pairs of a list only when it
+    can show that the line loop accepts every line with the same ids:
+
+    - each line splits at its first ':' into a count field, which the
+      loop has cached or which is a positive integer in ASCII digits, and a
+      ranking text;
+    - each text is in the bounded cache of texts seen valid, or is m tokens
+      joined by sep, each a name or id (maybe after the space that follows
+      ':'), with m distinct ids.
+
+    No count field it takes starts with whitespace and no token ends with
+    it, so a line with surrounding whitespace is never vouched for. For any
+    other list run() gives None, and the line loop reads the list: it alone
+    raises and records violations."""
+
+    def __init__(self, m: int, sep: str, ids: dict[str, int]) -> None:
+        self.m, self.sep = m, sep
+        self.ids = ids | {" " + token: i for token, i in ids.items()}
+        self.bits = {token: 1 << i for token, i in self.ids.items()}
+        self.texts: dict[str, int] = {}  # ranking text -> first * m + second of its ids
+        self.misses = 0  # lines in a row that missed self.texts
+
+    def run(self, lines: list[str], counts: dict[str, int]) -> tuple[int, set[tuple[int, int]]] | None:
+        """The vote total and top pairs of a non-empty list of lines, or None."""
+        # A line without ':' gives the empty text, which has no separator.
+        heads, _, texts = zip(*map(methodcaller("partition", ":"), lines))
+        mults = list(map(counts.get, heads))
+        if not all(mults):
+            # what the loop makes of a count field of plain digits
+            fields = list(compress(heads, map(not_, mults)))
+            if not (all(map(str.isascii, fields)) and all(map(str.isdigit, fields))):
+                return None
+            if max(map(len, fields)) > MAX_DIGITS:
+                return None
+            mults = list(filter(None, mults)) + list(map(int, fields))
+            if not all(mults):
+                return None
+        codes = list(map(self.texts.get, texts))  # no code is 0: the top two ids differ
+        if all(codes):
+            self.misses = 0
+        else:
+            new = list(dict.fromkeys(compress(texts, map(not_, codes))))
+            new_codes = self._codes(new)
+            if new_codes is None:
+                return None
+            # the cache takes new texts until _CACHE_MISSES lines in a row missed it
+            room = _CACHE_MISSES - self.misses
+            if room > 0:
+                self.texts.update(zip(new[:room], new_codes))
+            after_hit = next(compress(range(len(codes)), reversed(codes)), None)  # misses since the last hit
+            self.misses = self.misses + len(codes) if after_hit is None else after_hit
+            codes += new_codes
+        found = set(codes)
+        found.discard(None)
+        return sum(mults), set(map(divmod, found, repeat(self.m)))
+
+    def _codes(self, texts: list[str]) -> list[int] | None:
+        """first * m + second for the ids of each text, or None unless every
+        text is m tokens joined by sep, each in self.ids, with m distinct ids."""
+        m, sep, k = self.m, self.sep, len(texts)
+        if list(map(str.count, texts, repeat(sep))).count(m - 1) != k:
+            return None
+        # The join splits into the m tokens of each text in turn, unless a
+        # separator straddles two texts; that leaves a '>' in some token, and
+        # no name has one.
+        tokens = sep.join(texts).split(sep)
+        try:
+            bits = list(map(self.bits.__getitem__, tokens))
+        except KeyError:
+            return None
+        # m powers of two below 2**m sum to 2**m - 1 only when they differ
+        if list(map(sum, zip(*[iter(bits)] * m))).count((1 << m) - 1) != k:
+            return None
+        firsts = map(self.ids.__getitem__, tokens[::m])
+        return list(map(add, map(mul, firsts, repeat(m)), map(self.ids.__getitem__, tokens[1::m])))
+
+
 class _NativeReader:
     """The line loop of the native format, shared by parse_native and
-    scan_profile. rows() yields the ids and multiplicity of each valid
-    ranking line; once it is exhausted, names and violations hold the
-    header's names and every validation failure."""
+    scan_profile. lines() runs it on one list of lines and yields the ids
+    and multiplicity of each valid ranking line; batch() is scan_profile's
+    faster step for lines past the header. The loop's state lives on the
+    reader, so each list goes on where the last one stopped. Once finish()
+    has run, names and violations hold the header's names and every
+    validation failure."""
 
     replay = False  # only a soc file may need a second, whole read
 
     def __init__(self) -> None:
         self.names: list[str] = []
         self.violations: list[Violation] = []
+        self.line_no = 0  # lines read
+        self.accepted = self.rejected = 0  # ranking lines without and with violations
+        self.header_seen = False
+        self.index: dict[str, int] = {}
+        self.whole: dict[str, int] = {}  # the names a ranking split on " > " can match
+        self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
+        self.mults: dict[str, int] = {}  # count field -> multiplicity
+        self.known_misses = self.mult_misses = 0  # since the last hit
+        self.step: _BatchStep | None = None  # made by batch() once the header allows one
 
     def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
+        """The rows of every line of the concatenated chunks, then finish()."""
+        for lines in _line_batches(chunks):
+            yield from self.lines(lines)
+        self.finish()
+
+    def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
         """Each ranking line is resolved to candidate ids as it is read. A
         ranking written as write_native writes it, names joined by " > ", is
         split there and looked up name by name; any other goes through
         model.resolve_ranking. The ids of a valid ranking text are cached, so
         a later line with the same text skips the resolution and shares one
         tuple; the cache stops growing after _CACHE_MISSES misses in a row."""
-        header_seen = False
-        index: dict[str, int] = {}
-        whole: dict[str, int] = {}  # the names a ranking split on " > " can match
-        m = 0
+        index, whole, m = self.index, self.whole, len(self.names)
         violations = self.violations
-        accepted = rejected = 0  # ranking lines without and with violations
-        known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
-        mults: dict[str, int] = {}  # count field -> multiplicity
-        known_misses = mult_misses = 0  # since the last hit
-        line_no = 0
+        accepted, rejected = self.accepted, self.rejected
+        known, mults = self.known, self.mults
+        known_misses, mult_misses = self.known_misses, self.mult_misses
+        header_seen = self.header_seen
+        line_no = self.line_no
 
-        for line_no, raw in enumerate(chain.from_iterable(_line_batches(chunks)), start=1):
+        for line_no, raw in enumerate(lines, start=line_no + 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -172,11 +273,11 @@ class _NativeReader:
                 header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
                 if "" in header:
                     raise ProfileSyntaxError("empty candidate name in header", line=line_no)
-                header_seen = True
-                self.names, index = index_candidates(header, violations)
-                m = len(self.names)
+                header_seen = self.header_seen = True
+                self.names, self.index = index_candidates(header, violations)
+                index, m = self.index, len(self.names)
                 # A name with '>' is cut apart in every ranking, so none can be valid.
-                whole = {} if any(">" in name for name in self.names) else index
+                whole = self.whole = {} if any(">" in name for name in self.names) else index
                 continue
             if not header_seen:
                 raise ProfileSyntaxError(
@@ -228,8 +329,26 @@ class _NativeReader:
             accepted += 1
             yield ids, mult
 
-        if not header_seen:
-            raise ProfileSyntaxError("missing candidates: header", line=max(1, line_no))
+        self.line_no = line_no
+        self.accepted, self.rejected = accepted, rejected
+        self.known_misses, self.mult_misses = known_misses, mult_misses
+
+    def batch(self, lines: list[str]) -> tuple[int, set[tuple[int, int]]] | None:
+        """The vote total and top pairs of a non-empty list of lines that
+        _BatchStep vouches for, with the state advanced as lines() would
+        advance it, or None, leaving the lines to lines()."""
+        m = len(self.names)
+        if self.step is None and self.whole and 1 < m <= _BATCH_MAX_M:
+            self.step = _BatchStep(m, " > ", self.whole)
+        found = self.step.run(lines, self.mults) if self.step else None
+        if found is not None:
+            self.line_no += len(lines)
+            self.accepted += len(lines)
+        return found
+
+    def finish(self) -> None:
+        if not self.header_seen:
+            raise ProfileSyntaxError("missing candidates: header", line=max(1, self.line_no))
 
 
 def parse_native(text: str | bytes) -> Election:
@@ -246,10 +365,12 @@ def _column(raw_line: str, token: str) -> int:
 
 class _SocReader:
     """The line loop of the PrefLib soc format, shared by parse_preflib_soc
-    and scan_profile. rows() yields the 0-based ids and count of each data
-    line; once it is exhausted, names and violations are set, and replay
-    tells whether the rows must be read again by name (see
-    parse_preflib_soc)."""
+    and scan_profile. lines() runs it on one list of lines and yields the
+    0-based ids and count of each data line; batch() is scan_profile's
+    faster step for data lines once NUMBER ALTERNATIVES is known. The loop's
+    state lives on the reader, as in _NativeReader. Once finish() has run,
+    names and violations are set, and replay tells whether the rows must be
+    read again by name (see parse_preflib_soc)."""
 
     def __init__(self) -> None:
         self.names: list[str] = []
@@ -258,30 +379,37 @@ class _SocReader:
         self.alt_names: dict[int, str] = {}
         self.named_after: dict[int, int] = {}  # alternative -> data lines read before its name
         self.replay = False
+        self.line_no = 0  # lines read
+        self.m: int | None = None  # NUMBER ALTERNATIVES
+        self.declared_voters: int | None = None
+        self.data_lines = 0
+        self.total_votes = 0
+        self.repeats_an_id = False
+        self.known: dict[str, Vote] = {}  # order text -> ids of a permutation
+        self.tokens: dict[str, int] = {}  # "1".."m" -> 0..m-1, once a line has m ids
+        self.counts: dict[str, int] = {}  # count field -> vote count
+        self.known_misses = self.count_misses = 0  # since the last hit
+        self.step: _BatchStep | None = None  # made by batch() once NUMBER ALTERNATIVES allows one
 
     def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
+        """The rows of every line of the concatenated chunks, then finish()."""
+        for lines in _line_batches(chunks):
+            yield from self.lines(lines)
+        self.finish()
+
+    def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
         """Data lines are read into 0-based id tuples, shared between lines
         with the same order text while the cache grows (as in _NativeReader).
-        The metadata checks that need the whole file run once it is read."""
-        m: int | None = None
-        declared_voters: int | None = None
-        alt_names = self.alt_names
-        named_after = self.named_after
-        rows = 0
-        repeats_an_id = False
-        known: dict[str, Vote] = {}  # order text -> ids of a permutation
-        tokens: dict[str, int] = {}  # "1".."m" -> 0..m-1, once a line has m ids
-        counts: dict[str, int] = {}  # count field -> vote count
-        known_misses = count_misses = 0  # since the last hit
-        total_votes = 0
-        line_no = 0
+        The metadata checks that need the whole file run in finish()."""
+        m = self.m
+        alt_names, named_after = self.alt_names, self.named_after
+        rows, total_votes = self.data_lines, self.total_votes
+        repeats_an_id = self.repeats_an_id
+        known, tokens, counts = self.known, self.tokens, self.counts
+        known_misses, count_misses = self.known_misses, self.count_misses
+        line_no = self.line_no
 
-        def require_m(line_no: int) -> int:
-            if m is None:
-                raise InconsistentMetadata("NUMBER ALTERNATIVES was never declared", line=line_no)
-            return m
-
-        for line_no, raw in enumerate(chain.from_iterable(_line_batches(chunks)), start=1):
+        for line_no, raw in enumerate(lines, start=line_no + 1):
             line = raw.strip()
             if not line:
                 continue
@@ -305,7 +433,7 @@ class _SocReader:
                         raise UnsupportedProfile(
                             f"{declared} alternatives is beyond the supported size", line=line_no
                         )
-                    m = declared
+                    m = self.m = declared
                 elif key == "ALTERNATIVE NAME" and index:
                     idx = _decimal(index)
                     if idx is None:
@@ -324,6 +452,7 @@ class _SocReader:
                         raise ProfileSyntaxError(
                             f"NUMBER VOTERS has more than {MAX_DIGITS} digits", line=line_no
                         )
+                    self.declared_voters = declared_voters
                 # every other key is forward-compatible metadata
                 continue
 
@@ -351,7 +480,7 @@ class _SocReader:
                 count_misses += 1
             else:
                 count_misses = 0
-            alternatives = require_m(line_no)
+            alternatives = _require_m(m, line_no)
             ids = known.get(rest)
             if ids is None:
                 # lstrip takes the space after ':' off the first id; it changes no
@@ -359,7 +488,7 @@ class _SocReader:
                 parts = rest.lstrip().split(",")
                 if len(parts) == alternatives:
                     if not tokens:
-                        tokens = {str(k): k - 1 for k in range(1, alternatives + 1)}
+                        tokens = self.tokens = {str(k): k - 1 for k in range(1, alternatives + 1)}
                     try:
                         ids = tuple(map(tokens.__getitem__, parts))
                     except KeyError:
@@ -377,23 +506,49 @@ class _SocReader:
             rows += 1
             yield ids, count
 
-        eof = max(1, line_no)
-        alternatives = require_m(eof)
-        for idx in alt_names:
+        self.line_no = line_no
+        self.data_lines, self.total_votes = rows, total_votes
+        self.repeats_an_id = repeats_an_id
+        self.known_misses, self.count_misses = known_misses, count_misses
+
+    def batch(self, lines: list[str]) -> tuple[int, set[tuple[int, int]]] | None:
+        """As _NativeReader.batch."""
+        m = self.m
+        if self.step is None and m is not None and 1 < m <= _BATCH_MAX_M:
+            self.step = _BatchStep(m, ",", {str(k): k - 1 for k in range(1, m + 1)})
+        found = self.step.run(lines, self.counts) if self.step else None
+        if found is not None:
+            self.line_no += len(lines)
+            self.data_lines += len(lines)
+            self.total_votes += found[0]
+        return found
+
+    def finish(self) -> None:
+        """The checks that need the whole file, then the names and replay."""
+        eof = max(1, self.line_no)
+        alternatives = _require_m(self.m, eof)
+        for idx in self.alt_names:
             if not 1 <= idx <= alternatives:
                 raise InconsistentMetadata(
                     f"ALTERNATIVE NAME {idx} outside 1..{alternatives}", line=eof
                 )
-        if declared_voters is not None and declared_voters != total_votes:
+        total_votes = self.total_votes
+        if self.declared_voters is not None and self.declared_voters != total_votes:
             # counts of up to MAX_DIGITS digits can sum to one str() refuses
             total = total_votes if total_votes < 10**MAX_DIGITS else f"more than {MAX_DIGITS} digits"
             raise InconsistentMetadata(
-                f"NUMBER VOTERS is {declared_voters} but data lines sum to {total}", line=eof
+                f"NUMBER VOTERS is {self.declared_voters} but data lines sum to {total}", line=eof
             )
         self.names, self.index = index_candidates(
-            [_alt_name(alt_names, i) for i in range(1, alternatives + 1)], self.violations
+            [_alt_name(self.alt_names, i) for i in range(1, alternatives + 1)], self.violations
         )
-        self.replay = bool(self.violations or repeats_an_id or any(named_after.values()))
+        self.replay = bool(self.violations or self.repeats_an_id or any(self.named_after.values()))
+
+
+def _require_m(m: int | None, line_no: int) -> int:
+    if m is None:
+        raise InconsistentMetadata("NUMBER ALTERNATIVES was never declared", line=line_no)
+    return m
 
 
 def parse_preflib_soc(text: str | bytes) -> Election:
@@ -430,9 +585,14 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
     "soc"): its names, vote total and top pairs, read from a binary file
     _CHUNK_BYTES at a time.
 
-    Accepts exactly the profiles parse_native or parse_preflib_soc accept,
-    and fails on the others with the same error. Memory is O(m^2) plus the
-    ranking caches and one chunk, not O(file size). A soc file whose rows
+    The lines are taken in lists of up to _BATCH_LINES. Once the header (or
+    NUMBER ALTERNATIVES) is read, with 2 to _BATCH_MAX_M candidates, a list
+    of plainly written valid rankings gives its total and top pairs through
+    _BatchStep at once. Every other list goes through the line loop of
+    parse_native or parse_preflib_soc, which decides every error, so this
+    accepts exactly the profiles those accept, and fails on the others with
+    the same error. Memory is O(m^2) plus the ranking caches, one chunk and
+    the tokens of one list, not O(file size). A soc file whose rows
     must be read again by name is read whole by parse_preflib_soc; a soc
     file that cannot seek back for that, such as a pipe, is read whole first.
     """
@@ -446,9 +606,18 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
     tops: set[tuple[int, ...]] = set()
     chunks = _read_text(file)
     try:
-        for ids, mult in reader.rows(chunks):
-            n += mult
-            tops.add(ids[:2])
+        for batch in _line_batches(chunks):
+            for start_line in range(0, len(batch), _BATCH_LINES):
+                lines = batch[start_line:start_line + _BATCH_LINES]
+                found = reader.batch(lines)
+                if found is None:
+                    for ids, mult in reader.lines(lines):
+                        n += mult
+                        tops.add(ids[:2])
+                else:
+                    n += found[0]
+                    tops |= found[1]
+        reader.finish()
     except ProfileError:
         for _ in chunks:  # invalid UTF-8 anywhere fails first, as it does in parse_*
             pass

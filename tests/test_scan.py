@@ -1,13 +1,16 @@
 """scan_profile, the streamed reader behind `check`, against the whole-text
 parsers: the same names, vote total and top pairs, or the same error, for
-every chunk size down to one byte."""
+every chunk size down to one byte, and whether a list of lines goes through
+the batch step or the line loop."""
 
 import io
 import os
+import random
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkdomain import (
@@ -119,6 +122,183 @@ def test_a_pipe_is_read(fmt, data, summary):
     with open(read_end, "rb") as pipe:
         assert not pipe.seekable()
         assert scanned(fmt, data, pipe) == expected(fmt, data) == ("ok", summary)
+
+
+# Chunks of 64 bytes and 4 KiB give lists of a few and of a few hundred
+# lines; the default gives lists of _BATCH_LINES lines.
+BATCH_CHUNKS = [64, 4096, profiles._CHUNK_BYTES]
+
+
+def _clean(fmt: str, m: int, lines: int, seed: int) -> tuple[list[str], list[str]]:
+    """The head lines and the ranking lines of a valid profile over m candidates."""
+    rng = random.Random(seed)
+    names = "abcd"[:m] if m <= 4 else [f"c{i}" for i in range(m)]
+    votes = [(rng.sample(range(m), m), rng.choice((1, 1, 2, 3))) for _ in range(lines)]
+    if fmt == "native":
+        head = ["candidates: " + ", ".join(names) + "\n"]
+        body = [f"{mult}: " + " > ".join(names[c] for c in order) + "\n" for order, mult in votes]
+    else:
+        head = [f"# NUMBER ALTERNATIVES: {m}\n", f"# NUMBER VOTERS: {sum(mult for _, mult in votes)}\n"]
+        head += [f"# ALTERNATIVE NAME {i + 1}: {name}\n" for i, name in enumerate(names)]
+        body = [f"{mult}: " + ",".join(str(c + 1) for c in order) + "\n" for order, mult in votes]
+    return head, body
+
+
+@st.composite
+def spliced(draw, fmt, pool):
+    """A clean profile of 3,000 ranking lines with one of them mutated."""
+    head, body = _clean(fmt, draw(st.integers(1, 4)), 3000, draw(st.integers(0, 2**16)))
+    at = draw(st.integers(0, len(body) - 1))
+    tokens = [t for t in re.split(r"(: | > |,|\n)", body[at]) if t]
+    body[at] = draw(mutated(st.just(tokens), pool))
+    return "".join(head + body).encode("utf-8")
+
+
+@settings(max_examples=50)
+@given(spliced("native", NATIVE_POOL))
+def test_native_matches_parser_with_one_spliced_line(data):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_scan_matches(monkeypatch, "native", data, BATCH_CHUNKS)
+
+
+@settings(max_examples=50)
+@given(spliced("soc", SOC_POOL))
+def test_soc_matches_parser_with_one_spliced_line(data):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_scan_matches(monkeypatch, "soc", data, BATCH_CHUNKS)
+
+
+def _line_loop_spy(monkeypatch, fmt):
+    """(reader, lines read before, list length) for each list the line loop reads."""
+    reader = profiles._NativeReader if fmt == "native" else profiles._SocReader
+    seen = []
+    lines = reader.lines
+
+    def spy(self, batch):
+        seen.append((self, self.line_no, len(batch)))
+        return lines(self, batch)
+
+    monkeypatch.setattr(reader, "lines", spy)
+    return seen
+
+
+@pytest.mark.parametrize("fmt", ["native", "soc"])
+@pytest.mark.parametrize("m", [2, 20, profiles._BATCH_MAX_M, profiles._BATCH_MAX_M + 1])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_batch_step_takes_every_list_after_the_first(monkeypatch, fmt, m, weighted):
+    head, body = _clean(fmt, m, 2000, 0)
+    if weighted:  # no count twice, so the count cache never hits
+        body = [f"{k + 7}:{line.partition(':')[2]}" for k, line in enumerate(body)]
+        head = [line for line in head if "VOTERS" not in line]
+    data = "".join(head + body).encode()
+    want = expected(fmt, data)
+    seen = _line_loop_spy(monkeypatch, fmt)
+    assert scanned(fmt, data) == want
+    if m <= profiles._BATCH_MAX_M:
+        assert [entry[1] for entry in seen] == [0]  # the first list, which holds the header
+    else:
+        assert sum(size for _, _, size in seen) == len(head) + len(body)
+
+
+@pytest.mark.parametrize("tail", ["# ALTERNATIVE NAME 1: z\n", "# NUMBER VOTERS: 1\n"])
+def test_soc_state_carries_across_accepted_lists(monkeypatch, tail):
+    head, body = _clean("soc", 3, 3000, 1)
+    head = [line for line in head if "VOTERS" not in line and "NAME 1:" not in line]
+    data = "".join(head + body[:2500] + [tail] + body[2500:]).encode()
+    want = expected("soc", data)
+    seen = _line_loop_spy(monkeypatch, "soc")
+    assert scanned("soc", data) == want
+    # a second reader, if any, is parse_preflib_soc's
+    assert sum(size for reader, _, size in seen if reader is seen[0][0]) < 3000
+    total = sum(int(line.partition(":")[0]) for line in body)
+    message = {
+        # each of the 2,500 data lines before the name read 1 as alternative 1's name
+        "# ALTERNATIVE NAME 1: z\n": "invalid election (2500 violation(s)): vote 1: unknown candidate '1';",
+        "# NUMBER VOTERS: 1\n": f"line {len(head) + 3001}: NUMBER VOTERS is 1 but data lines sum to {total}",
+    }[tail]
+    assert want[1].startswith(message)
+
+
+def _around(head: str, clean: list[str], edge: str) -> bytes:
+    """edge after 1,500 clean lines and before 500 more, so a list of
+    _BATCH_LINES lines past the header holds it."""
+    lines = [clean[i % len(clean)] for i in range(2000)]
+    return "\n".join([head, *lines[:1500], edge, *lines[1500:]]).encode("utf-8") + b"\n"
+
+
+NAMES_12 = ("candidates: 1, 2", ["1: 1 > 2", "2: 2 > 1"])
+SPACED = ("candidates: a:b, c d, e", ["1: a:b > c d > e", "1: e > c d > a:b"])
+C01 = ("candidates: c0, c1", ["1: c0 > c1", "3: c1 > c0"])
+SOC5 = ("# NUMBER ALTERNATIVES: 5", ["1: 1,2,3,4,5", "2: 5,4,3,2,1"])
+EDGE_LINES = [
+    ("native", *NAMES_12, "1: 2 > 1"),
+    ("native", *NAMES_12, "1: 1 > 1"),
+    ("native", *NAMES_12, "1: 2 > 12"),
+    ("native", *SPACED, "2: c d > a:b > e"),
+    ("native", *SPACED, "1: e > c > a:b"),
+    ("native", *SPACED, "1: a:b > c d> e"),
+    ("native", *C01, "1:c0 > c1"),
+    ("native", *C01, "1:  c0 > c1"),
+    ("native", *C01, "1: c0 >  c1"),
+    ("native", *C01, "1: c0 > c1 "),
+    ("native", *C01, "1: c0 > c1\t"),
+    ("native", *C01, " 1: c0 > c1"),
+    ("native", *C01, " "),
+    ("native", *C01, "1: c0 > c1 > "),
+    ("native", *C01, "0: c0 > c1"),
+    ("native", *C01, "007: c1 > c0"),
+    ("native", *C01, "١: c1 > c0"),
+    ("native", *C01, "1 : c1 > c0"),
+    ("native", *C01, "9" * 4301 + ": c1 > c0"),
+    ("native", *C01, "1: c0\n1: c1 > c0 > c1"),  # two wrong token counts that sum right
+    ("native", "candidates: a>b, c", ["1: a>b > c"], "1: c > a>b"),
+    ("native", "candidates: a", ["1: a", "2: a"], "3: a"),
+    ("native", "candidates: a", ["1: a", "2: a"], "1: a > a"),
+    ("soc", *SOC5, "1: 1, 5,2,3,4"),
+    ("soc", *SOC5, "1: 1,1,2,3,4"),
+    ("soc", *SOC5, "1: {1,2},3,4,5"),
+    ("soc", *SOC5, "1:1,2,3,4,5"),
+    ("soc", *SOC5, "1:  1,2,3,4,5"),
+    ("soc", *SOC5, "1: 1,2,3,4,5 "),
+    ("soc", *SOC5, "1: 1,2,3,4,05"),
+    ("soc", *SOC5, "00: 1,2,3,4,5"),
+    ("soc", *SOC5, "12345678901234567890: 5,4,3,2,1"),
+    ("soc", "# NUMBER ALTERNATIVES: 2", ["1: 1,2", "1: 2,1"], "1: 2, 1"),
+    ("soc", "# NUMBER ALTERNATIVES: 2", ["1: 1,2", "1: 2,1"], "1: 2,2"),
+    ("soc", "# NUMBER ALTERNATIVES: 2", ["1: 1,2", "1: 2,1"], "1: 2\n1: 1,2,1"),
+    ("soc", "# NUMBER ALTERNATIVES: 1", ["1: 1", "2: 1"], "3: 1"),
+    ("soc", "# NUMBER ALTERNATIVES: 1", ["1: 1", "2: 1"], "1: 1,1"),
+]
+
+
+@pytest.mark.parametrize("fmt, head, clean, edge", EDGE_LINES)
+def test_edge_lines_past_the_header_match_parser(monkeypatch, fmt, head, clean, edge):
+    assert_scan_matches(monkeypatch, fmt, _around(head, clean, edge), BATCH_CHUNKS)
+
+
+def test_text_cache_stops_growing_after_lines_missed_in_a_row(monkeypatch):
+    monkeypatch.setattr(profiles, "_CACHE_MISSES", 100)
+    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 22)  # one list of lines, cut every 1,000
+    header, *rankings = _no_repeat_profile(5000).decode().splitlines()
+    # The line loop reads the header and 999 rankings. The next 1,000 lines
+    # miss, and the first 100 of them are cached; the 1,000 after that miss
+    # too, and none is. A hit on the last of the next 1,000 lets the cache
+    # grow again, by 100 in the next 1,000 and by none in the last line.
+    lines = [header, *rankings[:3998], rankings[999], *rankings[3998:4999]]
+    data = ("\n".join(lines) + "\n").encode()
+    want = expected("native", data)
+    steps = []
+    init = profiles._BatchStep.__init__
+
+    def kept(step, *args):
+        steps.append(step)
+        init(step, *args)
+
+    monkeypatch.setattr(profiles._BatchStep, "__init__", kept)
+    assert scanned("native", data) == want
+    (step,) = steps
+    cached = rankings[999:1099] + rankings[3998:4098]
+    assert list(step.texts) == [line.partition(":")[2] for line in cached]
 
 
 def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
