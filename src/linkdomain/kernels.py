@@ -18,6 +18,12 @@ slot per seed:
 
 Two exact shortcuts keep the work down. A seed whose ends share no
 neighbor can never grow, so it is written as size 2 without running it.
+When neither end is heavy (below), that test hashes the lower end's row
+into a set and scans the higher end's row against it; the set is kept
+until the lower end changes. The seed lists are ascending, so each lower
+end's seeds are consecutive, and a lower end a pays O(deg a) once and each
+seed O(deg b); the verdict does not depend on that order, only the reuse
+does.
 And a vertex is heavy when its degree is at least heavy_cut(m) = max(1,
 m // 64): a heavy vertex keeps its neighborhood as a bitmask (a Python
 int, and the same bits as bytes for O(1) membership tests), so absorbing
@@ -63,11 +69,13 @@ def sweep_seeds(
     costs O(vertices it touches), plus O(m / 8) bytes of bitset work per
     heavy vertex it absorbs and once more for the first, when it also
     rereads the adjacency of the light vertices absorbed before it (a seed
-    that absorbs no heavy vertex does no bitset work); the adjacency is read
-    only by slicing rows out of the graph's stored `indices`, which is never
-    copied whole. A seed that passes the filter absorbs the common neighbor,
-    so every seed run sticks at three or more vertices, and its stuck set is
-    recorded for the subsumption test.
+    that absorbs no heavy vertex does no bitset work). The common-neighbor
+    filter costs a seed (a, b) with two light ends O(deg b), plus O(deg a)
+    when a differs from the previous such seed's lower end; the adjacency is
+    read only by slicing rows out of the graph's stored `indices`, which is
+    never copied whole. A seed that passes the filter absorbs the common
+    neighbor, so every seed run sticks at three or more vertices, and its
+    stuck set is recorded for the subsumption test.
     """
     ptr = indptr
     cut = heavy_cut(m)
@@ -86,6 +94,7 @@ def sweep_seeds(
     # else: neither, for this seed.
     stamp = [-1] * m
     subsumed: set[int] = set()  # a * m + b for seed edges inside a recorded stuck set
+    row_owner, row_set = -1, set()  # the row of the last light lower end tested, as a set
 
     for s in range(len(seed_u)):
         a, b = seed_u[s], seed_v[s]
@@ -100,7 +109,9 @@ def sweep_seeds(
             row, light = (rows[a], b) if mask_a else (rows[b], a)
             common = any(row[w >> 3] >> (w & 7) & 1 for w in indices[ptr[light] : ptr[light + 1]])
         else:
-            common = not set(indices[ptr[a] : ptr[a + 1]]).isdisjoint(indices[ptr[b] : ptr[b + 1]])
+            if a != row_owner:
+                row_owner, row_set = a, set(indices[ptr[a] : ptr[a + 1]])
+            common = not row_set.isdisjoint(indices[ptr[b] : ptr[b + 1]])
         if not common:
             sizes_out[s] = 2
             if m == 2:

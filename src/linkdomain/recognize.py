@@ -20,6 +20,7 @@ same verdict. The witness is the FIFO insertion order of the seed sweep
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import kernels
@@ -48,11 +49,15 @@ class ClosureState:
 class StuckCertificate(Mapping):
     """Read-only map seed edge -> stuck reached set, proof of a NO verdict.
 
-    Stuck sets are recomputed on access (the closure is deterministic), so
-    holding a certificate costs O(#seeds), not O(#seeds * m). `sizes` holds
-    one entry per edge, as the seed sweep wrote it: the stuck-set size of
-    a seed the sweep decided, 0 for one it skipped because it lies inside
-    an earlier stuck set. stuck_size() answers from that entry, and
+    A certificate holds the graph and the `sizes` list the seed sweep
+    wrote, one entry per edge in seed order: the stuck-set size of a seed
+    the sweep decided, 0 for one it skipped because it lies inside an
+    earlier stuck set. Holding one costs that list and nothing more:
+    len() and max_stuck_size answer from it, and iteration walks the
+    graph's seed lists. The first lookup by key ([], `in`, stuck_size())
+    builds a dict from edge to size, O(#seeds) tuples, and keeps it.
+    Stuck sets are recomputed on access (the closure is deterministic),
+    never stored. stuck_size() answers from the stored entry, and
     recomputes the closure only for a skipped seed. max_stuck_size is
     exact from the run seeds alone, since a skipped seed's closure lies
     inside a run one.
@@ -60,28 +65,32 @@ class StuckCertificate(Mapping):
 
     def __init__(self, graph: ConnectivityGraph, sizes: Sequence[int]):
         self._graph = graph
-        # Keyed from the seed lists: reading `graph.edges` would also keep
-        # a tuple of every edge on the graph (+1 MB peak RSS measured on
-        # the benchmark's not-linked graphs).
-        self._sizes = dict(zip(zip(*graph.seed_arrays()), sizes))
+        self._sizes = sizes
+
+    @cached_property
+    def _size_of(self) -> dict[Edge, int]:
+        return dict(zip(self, self._sizes))
 
     def __getitem__(self, seed: Edge) -> frozenset[int]:
-        if seed not in self._sizes:
+        if seed not in self._size_of:
             raise KeyError(seed)
         return frozenset(greedy_closure(self._graph, seed).reached)
 
+    def __contains__(self, seed: object) -> bool:
+        return seed in self._size_of
+
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self._sizes)
+        return zip(*self._graph.seed_arrays())
 
     def __len__(self) -> int:
         return len(self._sizes)
 
     def stuck_size(self, seed: Edge) -> int:
-        return self._sizes[seed] or len(greedy_closure(self._graph, seed).reached)
+        return self._size_of[seed] or len(greedy_closure(self._graph, seed).reached)
 
     @property
     def max_stuck_size(self) -> int:
-        return max(self._sizes.values(), default=0)
+        return max(self._sizes, default=0)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,15 @@ class TestCheck:
         assert "NOT LINKED" in out
         assert "seeds tried: 1" in out
 
+    @pytest.mark.usefixtures("seed_lists_refused_after_sweep")
+    def test_not_linked_report_leaves_the_seed_lists_unread(self, path_profile, capsys):
+        # "seeds tried" and "max stuck set size" come from the sizes the
+        # sweep wrote, without building the certificate's edge -> size map.
+        assert main(["check", path_profile]) == 1
+        out = capsys.readouterr().out
+        assert "seeds tried: 1\n" in out
+        assert "max stuck set size: 2 of 3\n" in out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err

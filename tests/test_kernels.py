@@ -9,6 +9,7 @@ differently, so each property runs on graphs that are all heavy, all
 light, and mixed; the test checks from the degrees which one it got.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import linkdomain
 from linkdomain import (
     ConnectivityGraph,
     gen_pendant_clique,
+    gen_random_graph,
     greedy_closure,
     kernels,
     recognize,
@@ -131,6 +133,20 @@ def test_pure_sweep_matches_ordered_closure_mixed(seed):
     heavy = heavy_vertices(g)
     assert heavy and set(heavy) <= set(hubs)
     assert any(g.degree(v) for v in range(m) if v not in heavy)
+    assert_matches_ordered_closure(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.5, 1.2))
+def test_pure_sweep_matches_ordered_closure_gnp(seed, factor):
+    # G(m, p) around the 2-neighbor percolation threshold 1 / sqrt(m log m).
+    # With heavy_cut 6 a third to three quarters of the vertices are light,
+    # so a lower end's light-light seeds reuse its row set between seeds
+    # that are subsumed, filtered, or run through a closure.
+    rng = random.Random(seed)
+    m = rng.randint(384, 447)
+    g = gen_random_graph(m, factor / math.sqrt(m * math.log(m)), seed)
+    assert kernels.heavy_cut(m) == 6
     assert_matches_ordered_closure(g)
 
 
@@ -247,6 +263,28 @@ def test_windmill_adjacency_reads_grow_linearly():
     # of each heavy adjacency.
     small, large = _windmill_entries_read(1000), _windmill_entries_read(8000)
     assert large <= 8 * small * 1.1, (small, large)
+
+
+def test_filter_reads_each_lower_end_row_once():
+    # A tree, so every seed is cut by the common-neighbor test. At m = 6400
+    # (heavy_cut 100) the star centre 0 keeps 99 leaves and stays light, and
+    # a pendant path hangs from each leaf. A filter that rebuilt the lower
+    # end's row set for every seed would read row 0 once per leaf, 99 x 99
+    # entries; built once per lower end, it reads each row of a lower end
+    # once and each higher end's row once per seed.
+    m = 6400
+    cut = kernels.heavy_cut(m)
+    edges = [(0, leaf) for leaf in range(1, cut)] + [(v - (cut - 1), v) for v in range(cut, m)]
+    g = ConnectivityGraph(m, edges)
+    assert not heavy_vertices(g) and g.degree(0) == cut - 1
+    indptr, indices = g.csr_arrays()
+    counting = CountingList(indices)
+    seed_u, seed_v = g.seed_arrays()
+    sizes = [0] * len(seed_u)
+    assert kernels.sweep_seeds(indptr, counting, seed_u, seed_v, m, sizes) is None
+    assert set(sizes) == {2}
+    bound = sum(map(g.degree, set(seed_u))) + sum(map(g.degree, seed_v))
+    assert counting.read <= bound, (counting.read, bound)
 
 
 def test_import_leaves_numpy_out():

@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest.mock import patch
 
 import pytest
@@ -15,6 +15,7 @@ from linkdomain import (
     brute_force_linked,
     build_graph,
     gen_edge_realizing,
+    gen_pendant_clique,
     greedy_closure,
     recognize,
     recognize_election,
@@ -210,6 +211,37 @@ class TestRecognize:
         assert cert.max_stuck_size == 2
         with pytest.raises(KeyError):
             cert[(0, 2)]
+
+    @pytest.mark.usefixtures("seed_lists_refused_after_sweep")
+    def test_certificate_answers_len_and_max_without_the_seed_lists(self):
+        # The certificate keeps the sizes the sweep wrote; only a lookup by
+        # key builds the edge -> size map from the graph's seed lists.
+        g = gen_pendant_clique(40)
+        cert = recognize(g).certificate
+        assert len(cert) == 39 * 38 // 2 + 1
+        assert cert.max_stuck_size == 39
+
+    @given(graphs(min_m=2))
+    def test_certificate_matches_the_eager_map(self, g):
+        result = recognize(g)
+        if result.linked:
+            return
+        cert = result.certificate
+        eager = {seed: frozenset(greedy_closure(g, seed).reached) for seed in g.edges}
+        assert len(cert) == len(eager)
+        assert cert.max_stuck_size == max(map(len, eager.values()), default=0)
+        assert list(cert) == list(eager)
+        assert dict(cert) == eager
+        for seed, stuck in eager.items():
+            assert seed in cert
+            assert cert.stuck_size(seed) == len(stuck)
+        for u, v in combinations(range(g.m), 2):
+            for pair in [(v, u)] if (u, v) in eager else [(u, v), (v, u)]:
+                assert pair not in cert
+                with pytest.raises(KeyError):
+                    cert[pair]
+                with pytest.raises(KeyError):
+                    cert.stuck_size(pair)
 
     @given(graphs())
     def test_verdict_matches_brute_force(self, g):
