@@ -56,7 +56,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     mode = Mode(args.mode)
     result, graph, elapsed_ms = _check_pipeline(profile, mode)
     names = profile.names
-    edge_count = len(graph.edges)
+    edge_count = len(graph.csr_arrays()[1]) // 2  # each edge is in two rows of the stored adjacency
 
     if args.graph_out:
         Path(args.graph_out).write_text(export_dot(graph, names), encoding="utf-8")

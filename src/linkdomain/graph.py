@@ -90,10 +90,17 @@ class ConnectivityGraph:
         return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._indices[self._indptr[v] : self._indptr[v + 1]]
+        return self._indices[slice(*self._row(v))]
 
     def degree(self, v: int) -> int:
-        return self._indptr[v + 1] - self._indptr[v]
+        start, stop = self._row(v)
+        return stop - start
+
+    def _row(self, v: int) -> tuple[int, int]:
+        """Where row v starts and stops in indices; IndexError outside 0..m-1."""
+        if not 0 <= v < self.m:
+            raise IndexError(f"vertex {v} outside 0..{self.m - 1}")
+        return self._indptr[v], self._indptr[v + 1]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not 0 <= u < self.m:

@@ -20,10 +20,10 @@ incomplete orders are rejected as UnsupportedProfile.
 parse_native and parse_preflib_soc return the whole Election, read by a
 line loop per format. scan_profile reads a profile file in chunks and keeps
 only what the connectivity graph needs, so `check` runs in memory bounded
-by the candidate count rather than the file size. It checks the lines a
-batch at a time with C-level built-ins over whole lists (_BatchStep), and
-hands every batch that step cannot vouch for to the parsers' line loop,
-which alone raises and records violations.
+by the candidate count rather than the file size. Each format's reader
+checks the lines a list at a time with C-level built-ins over whole lists
+(batch()), and hands every list that batch() cannot vouch for to the
+parsers' line loop (lines()), which alone raises and records violations.
 
 Graph files are read by parse_graph. Every reader accepts bytes or str,
 raises only package errors, and gives every failure a line number.
@@ -55,7 +55,7 @@ MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices, ac
 
 _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
 _CACHE_MISSES = 4096  # a parser's caches stop growing after this many misses in a row
-_BATCH_LINES = 1000  # scan_profile's batch step takes at most this many lines at once
+_BATCH_LINES = 1000  # a reader's batch() takes at most this many lines at once
 _BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 64 bits
 
 _HEADER_PREFIX = "candidates:"
@@ -138,68 +138,131 @@ def _decimal(digits: str) -> int | None:
     return int(digits) if len(digits) <= MAX_DIGITS else None
 
 
-class _BatchStep:
-    """scan_profile's step for a list of ranking lines of one file, taken
-    with C-level built-ins over whole lists instead of Python statements per
-    line. It vouches for the vote total and top pairs of a list only when it
-    can show that the line loop accepts every line with the same ids:
+def _column(raw_line: str, token: str) -> int:
+    pos = raw_line.find(token) if token else -1
+    return pos + 1 if pos >= 0 else 1
 
-    - each line splits at its first ':' into a count field, which the
-      loop has cached or which is a positive integer in ASCII digits, and a
-      ranking text;
-    - each text is in the bounded cache of texts seen valid, or is m tokens
-      joined by sep, each a name or id (maybe after the space that follows
-      ':'), with m distinct ids.
 
-    No count field it takes starts with whitespace and no token ends with
-    it, so a line with surrounding whitespace is never vouched for. For any
-    other list run() gives None, and the line loop reads the list: it alone
-    raises and records violations."""
+class _Reader:
+    """The line loop of one profile format, shared by its parse_* function
+    and scan_profile. lines() runs it on one list of lines and yields the
+    ids and count of each valid ranking line; batch() is scan_profile's
+    faster step for the same lines. The loop's state lives on the reader,
+    so each list goes on where the last one stopped. Once finish() has
+    run, names and violations hold the candidate names and every validation
+    failure, votes the vote total, and replay tells whether the rows must
+    be read again by name (see parse_preflib_soc).
 
-    def __init__(self, m: int, sep: str, ids: dict[str, int]) -> None:
-        self.m, self.sep = m, sep
-        self.ids = ids | {" " + token: i for token, i in ids.items()}
-        self.bits = {token: 1 << i for token, i in self.ids.items()}
+    A subclass gives lines(), finish(), the token -> id map batch() reads,
+    and of its count field the noun and the error column."""
+
+    noun: str  # what a count field counts, in error messages
+    sep: str  # what joins the tokens of a ranking text
+    replay = False  # only a soc file may need a second, whole read
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.index: dict[str, int] = {}
+        self.violations: list[Violation] = []
+        self.m: int | None = None  # the candidate count, once read
+        self.line_no = self.row_no = self.votes = 0  # lines, ranking lines and votes read
+        self.tokens: dict[str, int] = {}  # token -> id, for the tokens of a plainly written ranking
+        self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
+        self.counts: dict[str, int] = {}  # count field -> count
         self.texts: dict[str, int] = {}  # ranking text -> first * m + second of its ids
-        self.misses = 0  # lines in a row that missed self.texts
+        self.known_misses = self.count_misses = self.text_misses = 0  # lines in a row that missed
+        self.batch_ids: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> id
+        self.bits: dict[str, int] = {}  # and -> 1 << id
 
-    def run(self, lines: list[str], counts: dict[str, int]) -> tuple[int, set[tuple[int, int]]] | None:
-        """The vote total and top pairs of a non-empty list of lines, or None."""
+    def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
+        """The rows of every line of the concatenated chunks, then finish()."""
+        for lines in _line_batches(chunks):
+            yield from self.lines(lines)
+        self.finish()
+
+    def token_ids(self) -> dict[str, int]:
+        """The token map, which a subclass may build on first use."""
+        return self.tokens
+
+    def read_count(self, field: str, raw: str, line_no: int) -> int:
+        """The count of a count field that missed the cache: a positive
+        integer of at most MAX_DIGITS ASCII digits, maybe with whitespace
+        around it. The cache takes it until _CACHE_MISSES fields in a row
+        missed it."""
+        digits = field.strip()
+        count = _decimal(digits) if digits.isascii() and digits.isdigit() else 0
+        if not count:
+            fault = (
+                f"has more than {MAX_DIGITS} digits" if count is None else f"must be a positive integer, got {digits!r}"
+            )
+            raise ProfileSyntaxError(f"{self.noun} {fault}", line=line_no, column=self.count_column(raw, digits))
+        if self.count_misses < _CACHE_MISSES:
+            self.counts[field] = count
+        self.count_misses += 1
+        return count
+
+    def batch(self, lines: list[str]) -> set[tuple[int, int]] | None:
+        """The top pairs of a non-empty list of lines, with the counters
+        advanced as lines() would advance them, or None, leaving the list to
+        lines(). Once the candidate count (2 to _BATCH_MAX_M) and the token
+        map are known, it takes C-level built-ins over whole lists instead of
+        Python statements per line. It vouches for a list only when it can
+        show that lines() accepts every line with the same ids:
+
+        - each line splits at its first ':' into a count field, which the
+          loop has cached or which is a positive integer in ASCII digits,
+          and a ranking text;
+        - each text is in the bounded cache of texts seen valid, or is m
+          tokens joined by sep, each in the token map (maybe after the space
+          that follows ':'), with m distinct ids.
+
+        No count field it takes starts with whitespace and no token ends
+        with it, so a line with surrounding whitespace is never vouched for.
+        lines() alone raises and records violations."""
+        m = self.m
+        if not self.bits:
+            if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
+                return None
+            self.batch_ids = self.tokens | {" " + token: i for token, i in self.tokens.items()}
+            self.bits = {token: 1 << i for token, i in self.batch_ids.items()}
         # A line without ':' gives the empty text, which has no separator.
         heads, _, texts = zip(*map(methodcaller("partition", ":"), lines))
-        mults = list(map(counts.get, heads))
-        if not all(mults):
-            # what the loop makes of a count field of plain digits
-            fields = list(compress(heads, map(not_, mults)))
+        counts = list(map(self.counts.get, heads))
+        if not all(counts):
+            # what read_count makes of a count field of plain digits
+            fields = list(compress(heads, map(not_, counts)))
             if not (all(map(str.isascii, fields)) and all(map(str.isdigit, fields))):
                 return None
             if max(map(len, fields)) > MAX_DIGITS:
                 return None
-            mults = list(filter(None, mults)) + list(map(int, fields))
-            if not all(mults):
+            counts = list(filter(None, counts)) + list(map(int, fields))
+            if not all(counts):
                 return None
         codes = list(map(self.texts.get, texts))  # no code is 0: the top two ids differ
         if all(codes):
-            self.misses = 0
+            self.text_misses = 0
         else:
             new = list(dict.fromkeys(compress(texts, map(not_, codes))))
             new_codes = self._codes(new)
             if new_codes is None:
                 return None
             # the cache takes new texts until _CACHE_MISSES lines in a row missed it
-            room = _CACHE_MISSES - self.misses
+            room = _CACHE_MISSES - self.text_misses
             if room > 0:
                 self.texts.update(zip(new[:room], new_codes))
             after_hit = next(compress(range(len(codes)), reversed(codes)), None)  # misses since the last hit
-            self.misses = self.misses + len(codes) if after_hit is None else after_hit
+            self.text_misses = self.text_misses + len(codes) if after_hit is None else after_hit
             codes += new_codes
         found = set(codes)
         found.discard(None)
-        return sum(mults), set(map(divmod, found, repeat(self.m)))
+        self.line_no += len(lines)
+        self.row_no += len(lines)
+        self.votes += sum(counts)
+        return set(map(divmod, found, repeat(m)))
 
     def _codes(self, texts: list[str]) -> list[int] | None:
         """first * m + second for the ids of each text, or None unless every
-        text is m tokens joined by sep, each in self.ids, with m distinct ids."""
+        text is m tokens joined by sep, each in self.batch_ids, with m distinct ids."""
         m, sep, k = self.m, self.sep, len(texts)
         if list(map(str.count, texts, repeat(sep))).count(m - 1) != k:
             return None
@@ -214,39 +277,16 @@ class _BatchStep:
         # m powers of two below 2**m sum to 2**m - 1 only when they differ
         if list(map(sum, zip(*[iter(bits)] * m))).count((1 << m) - 1) != k:
             return None
-        firsts = map(self.ids.__getitem__, tokens[::m])
-        return list(map(add, map(mul, firsts, repeat(m)), map(self.ids.__getitem__, tokens[1::m])))
+        firsts = map(self.batch_ids.__getitem__, tokens[::m])
+        return list(map(add, map(mul, firsts, repeat(m)), map(self.batch_ids.__getitem__, tokens[1::m])))
 
 
-class _NativeReader:
-    """The line loop of the native format, shared by parse_native and
-    scan_profile. lines() runs it on one list of lines and yields the ids
-    and multiplicity of each valid ranking line; batch() is scan_profile's
-    faster step for lines past the header. The loop's state lives on the
-    reader, so each list goes on where the last one stopped. Once finish()
-    has run, names and violations hold the header's names and every
-    validation failure."""
+class _NativeReader(_Reader):
+    """The line loop of the native format. Its token map holds the names a
+    ranking split on " > " can match, from the header on."""
 
-    replay = False  # only a soc file may need a second, whole read
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.violations: list[Violation] = []
-        self.line_no = 0  # lines read
-        self.accepted = self.rejected = 0  # ranking lines without and with violations
-        self.header_seen = False
-        self.index: dict[str, int] = {}
-        self.whole: dict[str, int] = {}  # the names a ranking split on " > " can match
-        self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
-        self.mults: dict[str, int] = {}  # count field -> multiplicity
-        self.known_misses = self.mult_misses = 0  # since the last hit
-        self.step: _BatchStep | None = None  # made by batch() once the header allows one
-
-    def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
-        """The rows of every line of the concatenated chunks, then finish()."""
-        for lines in _line_batches(chunks):
-            yield from self.lines(lines)
-        self.finish()
+    noun, sep = "multiplicity", " > "
+    count_column = staticmethod(_column)
 
     def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
         """Each ranking line is resolved to candidate ids as it is read. A
@@ -255,12 +295,11 @@ class _NativeReader:
         model.resolve_ranking. The ids of a valid ranking text are cached, so
         a later line with the same text skips the resolution and shares one
         tuple; the cache stops growing after _CACHE_MISSES misses in a row."""
-        index, whole, m = self.index, self.whole, len(self.names)
+        index, whole, m = self.index, self.tokens, self.m
         violations = self.violations
-        accepted, rejected = self.accepted, self.rejected
-        known, mults = self.known, self.mults
-        known_misses, mult_misses = self.known_misses, self.mult_misses
-        header_seen = self.header_seen
+        row_no, votes = self.row_no, self.votes
+        known, counts = self.known, self.counts
+        known_misses = self.known_misses
         line_no = self.line_no
 
         for line_no, raw in enumerate(lines, start=line_no + 1):
@@ -268,45 +307,30 @@ class _NativeReader:
             if not line or line.startswith("#"):
                 continue
             if line.startswith(_HEADER_PREFIX):
-                if header_seen:
+                if m is not None:
                     raise ProfileSyntaxError("second candidates: line", line=line_no, column=1)
                 header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
                 if "" in header:
                     raise ProfileSyntaxError("empty candidate name in header", line=line_no)
-                header_seen = self.header_seen = True
                 self.names, self.index = index_candidates(header, violations)
                 index, m = self.index, len(self.names)
+                self.m = m
                 # A name with '>' is cut apart in every ranking, so none can be valid.
-                whole = self.whole = {} if any(">" in name for name in self.names) else index
+                whole = self.tokens = {} if any(">" in name for name in self.names) else index
                 continue
-            if not header_seen:
+            if m is None:
                 raise ProfileSyntaxError(
                     "ranking line before the candidates: header", line=line_no, column=1
                 )
             count_part, sep, rest = line.partition(":")
             if not sep:
                 raise ProfileSyntaxError("expected '<count>: <ranking>'", line=line_no, column=1)
-            mult = mults.get(count_part)
+            mult = counts.get(count_part)
             if mult is None:
-                count_str = count_part.strip()
-                mult = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
-                if mult is None:
-                    raise ProfileSyntaxError(
-                        f"multiplicity has more than {MAX_DIGITS} digits",
-                        line=line_no,
-                        column=_column(raw, count_str),
-                    )
-                if mult < 1:
-                    raise ProfileSyntaxError(
-                        f"multiplicity must be a positive integer, got {count_str!r}",
-                        line=line_no,
-                        column=_column(raw, count_str),
-                    )
-                if mult_misses < _CACHE_MISSES:
-                    mults[count_part] = mult
-                mult_misses += 1
+                mult = self.read_count(count_part, raw, line_no)
             else:
-                mult_misses = 0
+                self.count_misses = 0
+            row_no += 1
             ids = known.get(rest)
             if ids is None:
                 try:
@@ -317,37 +341,23 @@ class _NativeReader:
                     ranking = list(map(str.strip, rest.split(">")))
                     if "" in ranking:
                         raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
-                    ids = resolve_ranking(ranking, index, m, accepted + rejected + 1, violations)
+                    ids = resolve_ranking(ranking, index, m, row_no, violations)
                     if ids is None:
-                        rejected += 1
                         continue
                 if known_misses < _CACHE_MISSES:
                     known[rest] = ids
                 known_misses += 1
             else:
                 known_misses = 0
-            accepted += 1
+            votes += mult
             yield ids, mult
 
         self.line_no = line_no
-        self.accepted, self.rejected = accepted, rejected
-        self.known_misses, self.mult_misses = known_misses, mult_misses
-
-    def batch(self, lines: list[str]) -> tuple[int, set[tuple[int, int]]] | None:
-        """The vote total and top pairs of a non-empty list of lines that
-        _BatchStep vouches for, with the state advanced as lines() would
-        advance it, or None, leaving the lines to lines()."""
-        m = len(self.names)
-        if self.step is None and self.whole and 1 < m <= _BATCH_MAX_M:
-            self.step = _BatchStep(m, " > ", self.whole)
-        found = self.step.run(lines, self.mults) if self.step else None
-        if found is not None:
-            self.line_no += len(lines)
-            self.accepted += len(lines)
-        return found
+        self.row_no, self.votes = row_no, votes
+        self.known_misses = known_misses
 
     def finish(self) -> None:
-        if not self.header_seen:
+        if self.m is None:
             raise ProfileSyntaxError("missing candidates: header", line=max(1, self.line_no))
 
 
@@ -358,44 +368,25 @@ def parse_native(text: str | bytes) -> Election:
     return make_election(reader.names, votes, reader.violations)
 
 
-def _column(raw_line: str, token: str) -> int:
-    pos = raw_line.find(token) if token else -1
-    return pos + 1 if pos >= 0 else 1
+class _SocReader(_Reader):
+    """The line loop of the PrefLib soc format, whose errors in a count
+    field all point at column 1. Its token map, "1".."m" -> 0..m-1, is
+    built on first use."""
 
-
-class _SocReader:
-    """The line loop of the PrefLib soc format, shared by parse_preflib_soc
-    and scan_profile. lines() runs it on one list of lines and yields the
-    0-based ids and count of each data line; batch() is scan_profile's
-    faster step for data lines once NUMBER ALTERNATIVES is known. The loop's
-    state lives on the reader, as in _NativeReader. Once finish() has run,
-    names and violations are set, and replay tells whether the rows must be
-    read again by name (see parse_preflib_soc)."""
+    noun, sep = "vote count", ","
+    count_column = staticmethod(lambda raw, digits: 1)
 
     def __init__(self) -> None:
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-        self.violations: list[Violation] = []
+        super().__init__()
         self.alt_names: dict[int, str] = {}
         self.named_after: dict[int, int] = {}  # alternative -> data lines read before its name
-        self.replay = False
-        self.line_no = 0  # lines read
-        self.m: int | None = None  # NUMBER ALTERNATIVES
         self.declared_voters: int | None = None
-        self.data_lines = 0
-        self.total_votes = 0
         self.repeats_an_id = False
-        self.known: dict[str, Vote] = {}  # order text -> ids of a permutation
-        self.tokens: dict[str, int] = {}  # "1".."m" -> 0..m-1, once a line has m ids
-        self.counts: dict[str, int] = {}  # count field -> vote count
-        self.known_misses = self.count_misses = 0  # since the last hit
-        self.step: _BatchStep | None = None  # made by batch() once NUMBER ALTERNATIVES allows one
 
-    def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
-        """The rows of every line of the concatenated chunks, then finish()."""
-        for lines in _line_batches(chunks):
-            yield from self.lines(lines)
-        self.finish()
+    def token_ids(self) -> dict[str, int]:
+        if not self.tokens:
+            self.tokens = {str(k): k - 1 for k in range(1, self.m + 1)}
+        return self.tokens
 
     def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
         """Data lines are read into 0-based id tuples, shared between lines
@@ -403,10 +394,10 @@ class _SocReader:
         The metadata checks that need the whole file run in finish()."""
         m = self.m
         alt_names, named_after = self.alt_names, self.named_after
-        rows, total_votes = self.data_lines, self.total_votes
+        row_no, votes = self.row_no, self.votes
         repeats_an_id = self.repeats_an_id
         known, tokens, counts = self.known, self.tokens, self.counts
-        known_misses, count_misses = self.known_misses, self.count_misses
+        known_misses = self.known_misses
         line_no = self.line_no
 
         for line_no, raw in enumerate(lines, start=line_no + 1):
@@ -445,7 +436,7 @@ class _SocReader:
                             f"ALTERNATIVE NAME {idx} declared twice", line=line_no
                         )
                     alt_names[idx] = value
-                    named_after[idx] = rows
+                    named_after[idx] = row_no
                 elif key == "NUMBER VOTERS" and not index:
                     declared_voters = _meta_int(key, value, line_no)
                     if declared_voters is None:
@@ -463,23 +454,9 @@ class _SocReader:
                 raise ProfileSyntaxError("expected '<count>: <id>,<id>,...'", line=line_no, column=1)
             count = counts.get(count_part)
             if count is None:
-                count_str = count_part.strip()
-                count = _decimal(count_str) if count_str.isascii() and count_str.isdigit() else 0
-                if count is None:
-                    raise ProfileSyntaxError(
-                        f"vote count has more than {MAX_DIGITS} digits", line=line_no, column=1
-                    )
-                if count < 1:
-                    raise ProfileSyntaxError(
-                        f"vote count must be a positive integer, got {count_str!r}",
-                        line=line_no,
-                        column=1,
-                    )
-                if count_misses < _CACHE_MISSES:
-                    counts[count_part] = count
-                count_misses += 1
+                count = self.read_count(count_part, raw, line_no)
             else:
-                count_misses = 0
+                self.count_misses = 0
             alternatives = _require_m(m, line_no)
             ids = known.get(rest)
             if ids is None:
@@ -488,7 +465,7 @@ class _SocReader:
                 parts = rest.lstrip().split(",")
                 if len(parts) == alternatives:
                     if not tokens:
-                        tokens = self.tokens = {str(k): k - 1 for k in range(1, alternatives + 1)}
+                        tokens = self.token_ids()
                     try:
                         ids = tuple(map(tokens.__getitem__, parts))
                     except KeyError:
@@ -502,26 +479,14 @@ class _SocReader:
                 known_misses += 1
             else:
                 known_misses = 0
-            total_votes += count
-            rows += 1
+            votes += count
+            row_no += 1
             yield ids, count
 
         self.line_no = line_no
-        self.data_lines, self.total_votes = rows, total_votes
+        self.row_no, self.votes = row_no, votes
         self.repeats_an_id = repeats_an_id
-        self.known_misses, self.count_misses = known_misses, count_misses
-
-    def batch(self, lines: list[str]) -> tuple[int, set[tuple[int, int]]] | None:
-        """As _NativeReader.batch."""
-        m = self.m
-        if self.step is None and m is not None and 1 < m <= _BATCH_MAX_M:
-            self.step = _BatchStep(m, ",", {str(k): k - 1 for k in range(1, m + 1)})
-        found = self.step.run(lines, self.counts) if self.step else None
-        if found is not None:
-            self.line_no += len(lines)
-            self.data_lines += len(lines)
-            self.total_votes += found[0]
-        return found
+        self.known_misses = known_misses
 
     def finish(self) -> None:
         """The checks that need the whole file, then the names and replay."""
@@ -532,10 +497,10 @@ class _SocReader:
                 raise InconsistentMetadata(
                     f"ALTERNATIVE NAME {idx} outside 1..{alternatives}", line=eof
                 )
-        total_votes = self.total_votes
-        if self.declared_voters is not None and self.declared_voters != total_votes:
+        votes = self.votes
+        if self.declared_voters is not None and self.declared_voters != votes:
             # counts of up to MAX_DIGITS digits can sum to one str() refuses
-            total = total_votes if total_votes < 10**MAX_DIGITS else f"more than {MAX_DIGITS} digits"
+            total = votes if votes < 10**MAX_DIGITS else f"more than {MAX_DIGITS} digits"
             raise InconsistentMetadata(
                 f"NUMBER VOTERS is {self.declared_voters} but data lines sum to {total}", line=eof
             )
@@ -587,22 +552,24 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
 
     The lines are taken in lists of up to _BATCH_LINES. Once the header (or
     NUMBER ALTERNATIVES) is read, with 2 to _BATCH_MAX_M candidates, a list
-    of plainly written valid rankings gives its total and top pairs through
-    _BatchStep at once. Every other list goes through the line loop of
+    of plainly written valid rankings gives its top pairs, and the reader
+    its vote total, through the reader's batch() at once. Every other list goes through the line loop of
     parse_native or parse_preflib_soc, which decides every error, so this
     accepts exactly the profiles those accept, and fails on the others with
     the same error. Memory is O(m^2) plus the ranking caches, one chunk and
     the tokens of one list, not O(file size). A soc file whose rows
     must be read again by name is read whole by parse_preflib_soc; a soc
     file that cannot seek back for that, such as a pipe, is read whole first.
+    Any other fmt is a ValueError.
     """
     if fmt == "native":
         reader, start = _NativeReader(), 0
-    else:
+    elif fmt == "soc":
         if not file.seekable():
             file = io.BytesIO(file.read())
         reader, start = _SocReader(), file.tell()
-    n = 0
+    else:
+        raise ValueError(f"unknown profile format {fmt!r}: expected 'native' or 'soc'")
     tops: set[tuple[int, ...]] = set()
     chunks = _read_text(file)
     try:
@@ -611,12 +578,10 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
                 lines = batch[start_line:start_line + _BATCH_LINES]
                 found = reader.batch(lines)
                 if found is None:
-                    for ids, mult in reader.lines(lines):
-                        n += mult
+                    for ids, _ in reader.lines(lines):
                         tops.add(ids[:2])
                 else:
-                    n += found[0]
-                    tops |= found[1]
+                    tops |= found
         reader.finish()
     except ProfileError:
         for _ in chunks:  # invalid UTF-8 anywhere fails first, as it does in parse_*
@@ -628,7 +593,7 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
         return ProfileScan(election.names, election.n, election.top_pairs)
     if reader.violations:
         raise InvalidElection(reader.violations)
-    return ProfileScan(tuple(reader.names), n, frozenset(tops) if len(reader.names) > 1 else frozenset())
+    return ProfileScan(tuple(reader.names), reader.votes, frozenset(tops) if len(reader.names) > 1 else frozenset())
 
 
 def _meta_int(key: str, value: str, line_no: int) -> int | None:

@@ -108,6 +108,19 @@ class TestCheck:
         )
         assert dot_path.read_text() == expected
 
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--mode", "weak", "--witness"]])
+    def test_report_leaves_the_edge_tuple_unbuilt(self, k3_path, path_profile, capsys, monkeypatch, flags):
+        # The edge count comes from the stored adjacency; only --graph-out
+        # reads `edges` (test_graph_out pins its DOT).
+        def refuse(graph):
+            raise AssertionError("built the edge tuple")
+
+        monkeypatch.setattr(ConnectivityGraph, "edges", property(refuse))
+        for path, code, edges in ((k3_path, 0, 3), (path_profile, 1, 1)):
+            assert main(["check", path, *flags]) == code
+            out = capsys.readouterr().out
+            assert (f'"edges": {edges},' if "--json" in flags else f"edges:      {edges}\n") in out
+
     def test_witness_verification_flag(self, k3_path, capsys):
         assert main(["check", k3_path, "--witness"]) == 0
         assert "witness check: valid" in capsys.readouterr().out

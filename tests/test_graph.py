@@ -145,6 +145,14 @@ class TestConnectivityGraph:
         b = ConnectivityGraph(3, [(0, 1)])
         assert a == b
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_rows_reject_ids_outside_the_graph(self, v):
+        g = ConnectivityGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(IndexError, match=f"vertex {v} outside 0..2"):
+            g.degree(v)
+        with pytest.raises(IndexError, match=f"vertex {v} outside 0..2"):
+            g.neighbors(v)
+
     def test_has_edge_rejects_ids_outside_the_graph(self):
         # Vertex -1 would read row 2 if negative indexes wrapped around.
         g = ConnectivityGraph(3, [(0, 1), (0, 2), (1, 2)])

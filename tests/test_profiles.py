@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from linkdomain import (
     parse_graph,
     parse_native,
     parse_preflib_soc,
+    scan_profile,
     write_native,
 )
 from linkdomain.model import election_from_ids
@@ -320,14 +323,34 @@ def test_both_parsers_total_on_bytes(data):
             assert isinstance(exc, (ProfileError, InvalidElection))
 
 
+BIG = "9" * 4301  # one digit more than int() converts
+NATIVE_HEAD = "candidates: a, b\n1: a > b\n"
+SOC_HEAD = "# NUMBER ALTERNATIVES: 2\n1: 1,2\n"
+
+
 def test_errors_carry_line_numbers():
     cases = [
-        (parse_native, "candidates: a, b\nbroken\n"),
-        (parse_native, "candidates: a,,b\n"),
-        (parse_preflib_soc, "# NUMBER ALTERNATIVES: 2\nbroken\n"),
-        (parse_preflib_soc, "# NUMBER ALTERNATIVES: x\n"),
+        ("native", "candidates: a, b\nbroken\n", "expected '<count>: <ranking>'", 2, 1),
+        ("native", "candidates: a,,b\n", "empty candidate name in header", 1, None),
+        ("soc", "# NUMBER ALTERNATIVES: 2\nbroken\n", "expected '<count>: <id>,<id>,...'", 2, 1),
+        ("soc", "# NUMBER ALTERNATIVES: x\n", "NUMBER ALTERNATIVES is not an integer: 'x'", 1, None),
+        # count fields: native points at the count, soc always at column 1
+        ("native", f"{NATIVE_HEAD}  {BIG}: b > a\n", "multiplicity has more than 4300 digits", 3, 3),
+        ("native", f"{NATIVE_HEAD}0: b > a\n", "multiplicity must be a positive integer, got '0'", 3, 1),
+        ("native", f"{NATIVE_HEAD} \t 00: b > a\n", "multiplicity must be a positive integer, got '00'", 3, 4),
+        ("soc", f"{SOC_HEAD}  {BIG}: 2,1\n", "vote count has more than 4300 digits", 3, 1),
+        ("soc", f"{SOC_HEAD}0: 2,1\n", "vote count must be a positive integer, got '0'", 3, 1),
+        ("soc", f"{SOC_HEAD} \t 00: 2,1\n", "vote count must be a positive integer, got '00'", 3, 1),
     ]
-    for parser, text in cases:
-        with pytest.raises(ProfileError) as exc:
-            parser(text)
-        assert exc.value.line is not None
+    for fmt, text, message, line, column in cases:
+        parse = {"native": parse_native, "soc": parse_preflib_soc}[fmt]
+        # the whole-text parser, then the streamed reader behind `check`
+        for read in (lambda: parse(text), lambda: scan_profile(io.BytesIO(text.encode()), fmt)):
+            with pytest.raises(ProfileSyntaxError) as exc:
+                read()
+            assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column), text[:40]
+
+
+def test_scan_profile_refuses_other_formats():
+    with pytest.raises(ValueError, match="unknown profile format 'csv': expected 'native' or 'soc'"):
+        scan_profile(io.BytesIO(b"# NUMBER ALTERNATIVES: 2\n1: 1,2\n"), "csv")

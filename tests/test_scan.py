@@ -287,18 +287,18 @@ def test_text_cache_stops_growing_after_lines_missed_in_a_row(monkeypatch):
     lines = [header, *rankings[:3998], rankings[999], *rankings[3998:4999]]
     data = ("\n".join(lines) + "\n").encode()
     want = expected("native", data)
-    steps = []
-    init = profiles._BatchStep.__init__
+    readers = []
+    init = profiles._NativeReader.__init__
 
-    def kept(step, *args):
-        steps.append(step)
-        init(step, *args)
+    def kept(reader):
+        readers.append(reader)
+        init(reader)
 
-    monkeypatch.setattr(profiles._BatchStep, "__init__", kept)
+    monkeypatch.setattr(profiles._NativeReader, "__init__", kept)
     assert scanned("native", data) == want
-    (step,) = steps
+    (reader,) = readers
     cached = rankings[999:1099] + rankings[3998:4098]
-    assert list(step.texts) == [line.partition(":")[2] for line in cached]
+    assert list(reader.texts) == [line.partition(":")[2] for line in cached]
 
 
 def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
