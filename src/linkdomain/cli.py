@@ -20,27 +20,22 @@ from pathlib import Path
 from .errors import LinkDomainError
 from .generate import gen_edge_realizing, gen_impartial_culture
 from .graph import ConnectivityGraph, Mode, build_graph
-from .model import Election, ProfileScan
+from .model import ProfileScan
 from .oracle import DEFAULT_CAP, brute_force_linked
 from .profiles import (
     MAX_DIGITS,
     export_dot,
     parse_graph,
-    parse_native,
-    parse_preflib_soc,
     scan_profile,
     write_native,
 )
+# perfbench's profiles.parse_native and profiles.parse_soc trace hooks look these up here
+from .profiles import parse_native, parse_preflib_soc  # noqa: F401
 from .recognize import RecognitionResult, recognize
 
 
-def _load_election(path: str, fmt: str) -> Election:
-    data = Path(path).read_bytes()
-    return parse_native(data) if fmt == "native" else parse_preflib_soc(data)
-
-
 def _check_pipeline(
-    profile: Election | ProfileScan, mode: Mode
+    profile: ProfileScan, mode: Mode
 ) -> tuple[RecognitionResult, ConnectivityGraph, float]:
     start = time.perf_counter()
     graph = build_graph(profile, mode)
@@ -117,12 +112,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    election = _load_election(args.path, args.format)
-    if election.m > args.cap:
+    with open(args.path, "rb") as file:
+        profile = scan_profile(file, args.format)
+    if profile.m > args.cap:
         raise LinkDomainError(
-            f"profile has {election.m} candidates, oracle capped at {args.cap}"
+            f"profile has {profile.m} candidates, oracle capped at {args.cap}"
         )
-    result, graph, _ = _check_pipeline(election, Mode(args.mode))
+    result, graph, _ = _check_pipeline(profile, Mode(args.mode))
     oracle_verdict, _ = brute_force_linked(graph, cap=args.cap)
     if result.linked == oracle_verdict:
         print(f"AGREE: {'linked' if result.linked else 'not linked'}")

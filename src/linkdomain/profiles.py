@@ -17,13 +17,16 @@ VOTERS`` are recognized, other keys ignored) followed by data lines
 ``<count>: <id>,<id>,...`` with 1-based alternative ids. Ties and
 incomplete orders are rejected as UnsupportedProfile.
 
-parse_native and parse_preflib_soc return the whole Election, read by a
-line loop per format. scan_profile reads a profile file in chunks and keeps
-only what the connectivity graph needs, so `check` runs in memory bounded
-by the candidate count rather than the file size. Each format's reader
-checks the lines a list at a time with C-level built-ins over whole lists
-(batch()), and hands every list that batch() cannot vouch for to the
-parsers' line loop (lines()), which alone raises and records violations.
+parse_native and parse_preflib_soc return the whole Election, read by one
+line loop for both formats (lines()). A format gives the loop only two
+steps: how it reads a line that is not a ranking line (comments, the
+header, metadata), and how it reads a ranking that is not written plainly.
+scan_profile reads a profile file in chunks and keeps only what the
+connectivity graph needs, so `check` runs in memory bounded by the
+candidate count rather than the file size. The reader checks the lines a
+list at a time with C-level built-ins over whole lists (batch()), and hands
+every list that batch() cannot vouch for to the line loop, which alone
+raises and records violations.
 
 Graph files are read by parse_graph. Every reader accepts bytes or str,
 raises only package errors, and gives every failure a line number.
@@ -153,10 +156,13 @@ class _Reader:
     failure, votes the vote total, and replay tells whether the rows must
     be read again by name (see parse_preflib_soc).
 
-    A subclass gives lines(), finish(), the token -> id map batch() reads,
-    and of its count field the noun and the error column."""
+    A subclass gives the two steps of lines() that differ between formats,
+    other_line() and exact_ids(), and finish(); of its ranking lines the
+    form, the separator of their tokens and the token -> id map; and of its
+    count field the noun and the error column."""
 
     noun: str  # what a count field counts, in error messages
+    form: str  # what follows the count field, in error messages
     sep: str  # what joins the tokens of a ranking text
     replay = False  # only a soc file may need a second, whole read
 
@@ -179,6 +185,57 @@ class _Reader:
         for lines in _line_batches(chunks):
             yield from self.lines(lines)
         self.finish()
+
+    def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
+        """Each non-blank line that other_line() does not take is a ranking
+        line, '<count>:<text>'. A text written plainly, m tokens joined by
+        sep, each in the token map, with m distinct ids, is looked up token
+        by token; any other goes through exact_ids(), which raises for a
+        malformed text and gives its ids, or None to drop the line. The ids
+        of a text are cached, so a later line with the same text skips both
+        and shares one tuple; the cache stops growing after _CACHE_MISSES
+        misses in a row."""
+        m, tokens, known, counts, sep = self.m, self.tokens, self.known, self.counts, self.sep
+        votes, known_misses = self.votes, self.known_misses
+        line_no = self.line_no
+        for line_no, raw in enumerate(lines, start=line_no + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if self.other_line(line, line_no):
+                m = self.m  # which a header or metadata line may set
+                continue
+            count_part, colon, text = line.partition(":")
+            if not colon:
+                raise ProfileSyntaxError(f"expected '<count>: {self.form}'", line=line_no, column=1)
+            count = counts.get(count_part)
+            if count is None:
+                count = self.read_count(count_part, raw, line_no)
+            else:
+                self.count_misses = 0
+            self.row_no += 1  # on the reader, where both hooks read it
+            ids = known.get(text)
+            if ids is None:
+                parts = text.lstrip().split(sep)
+                if len(parts) == m:
+                    if not tokens:  # soc builds a map of m tokens here, so never for a shorter text
+                        tokens = self.token_ids()
+                    try:
+                        ids = tuple(map(tokens.__getitem__, parts))
+                    except KeyError:
+                        pass
+                if ids is None or len(set(ids)) != m:
+                    ids = self.exact_ids(text, line_no)
+                    if ids is None:
+                        continue
+                if known_misses < _CACHE_MISSES:
+                    known[text] = ids
+                known_misses += 1
+            else:
+                known_misses = 0
+            votes += count
+            yield ids, count
+        self.line_no, self.votes, self.known_misses = line_no, votes, known_misses
 
     def token_ids(self) -> dict[str, int]:
         """The token map, which a subclass may build on first use."""
@@ -282,79 +339,39 @@ class _Reader:
 
 
 class _NativeReader(_Reader):
-    """The line loop of the native format. Its token map holds the names a
-    ranking split on " > " can match, from the header on."""
+    """The native format's steps of the line loop. Its token map holds the
+    names a ranking split on " > " can match, from the header on."""
 
-    noun, sep = "multiplicity", " > "
+    noun, form, sep = "multiplicity", "<ranking>", " > "
     count_column = staticmethod(_column)
 
-    def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
-        """Each ranking line is resolved to candidate ids as it is read. A
-        ranking written as write_native writes it, names joined by " > ", is
-        split there and looked up name by name; any other goes through
-        model.resolve_ranking. The ids of a valid ranking text are cached, so
-        a later line with the same text skips the resolution and shares one
-        tuple; the cache stops growing after _CACHE_MISSES misses in a row."""
-        index, whole, m = self.index, self.tokens, self.m
-        violations = self.violations
-        row_no, votes = self.row_no, self.votes
-        known, counts = self.known, self.counts
-        known_misses = self.known_misses
-        line_no = self.line_no
+    def other_line(self, line: str, line_no: int) -> bool:
+        """Reads a comment or the header; raises for a ranking line before it."""
+        if line.startswith("#"):
+            return True
+        if line.startswith(_HEADER_PREFIX):
+            if self.m is not None:
+                raise ProfileSyntaxError("second candidates: line", line=line_no, column=1)
+            header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
+            if "" in header:
+                raise ProfileSyntaxError("empty candidate name in header", line=line_no)
+            self.names, self.index = index_candidates(header, self.violations)
+            self.m = len(self.names)
+            # A name with '>' is cut apart in every ranking, so none can be valid.
+            self.tokens = {} if any(">" in name for name in self.names) else self.index
+            return True
+        if self.m is None:
+            raise ProfileSyntaxError(
+                "ranking line before the candidates: header", line=line_no, column=1
+            )
+        return False
 
-        for line_no, raw in enumerate(lines, start=line_no + 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith(_HEADER_PREFIX):
-                if m is not None:
-                    raise ProfileSyntaxError("second candidates: line", line=line_no, column=1)
-                header = [part.strip() for part in line[len(_HEADER_PREFIX):].split(",")]
-                if "" in header:
-                    raise ProfileSyntaxError("empty candidate name in header", line=line_no)
-                self.names, self.index = index_candidates(header, violations)
-                index, m = self.index, len(self.names)
-                self.m = m
-                # A name with '>' is cut apart in every ranking, so none can be valid.
-                whole = self.tokens = {} if any(">" in name for name in self.names) else index
-                continue
-            if m is None:
-                raise ProfileSyntaxError(
-                    "ranking line before the candidates: header", line=line_no, column=1
-                )
-            count_part, sep, rest = line.partition(":")
-            if not sep:
-                raise ProfileSyntaxError("expected '<count>: <ranking>'", line=line_no, column=1)
-            mult = counts.get(count_part)
-            if mult is None:
-                mult = self.read_count(count_part, raw, line_no)
-            else:
-                self.count_misses = 0
-            row_no += 1
-            ids = known.get(rest)
-            if ids is None:
-                try:
-                    ids = tuple(map(whole.__getitem__, rest.lstrip().split(" > ")))
-                except KeyError:
-                    pass
-                if ids is None or len(ids) != m or len(set(ids)) != m:
-                    ranking = list(map(str.strip, rest.split(">")))
-                    if "" in ranking:
-                        raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
-                    ids = resolve_ranking(ranking, index, m, row_no, violations)
-                    if ids is None:
-                        continue
-                if known_misses < _CACHE_MISSES:
-                    known[rest] = ids
-                known_misses += 1
-            else:
-                known_misses = 0
-            votes += mult
-            yield ids, mult
-
-        self.line_no = line_no
-        self.row_no, self.votes = row_no, votes
-        self.known_misses = known_misses
+    def exact_ids(self, text: str, line_no: int) -> Vote | None:
+        """The ids model.resolve_ranking gives the text, which records any violation."""
+        ranking = list(map(str.strip, text.split(">")))
+        if "" in ranking:
+            raise ProfileSyntaxError("empty candidate name in ranking", line=line_no)
+        return resolve_ranking(ranking, self.index, self.m, self.row_no, self.violations)
 
     def finish(self) -> None:
         if self.m is None:
@@ -369,11 +386,11 @@ def parse_native(text: str | bytes) -> Election:
 
 
 class _SocReader(_Reader):
-    """The line loop of the PrefLib soc format, whose errors in a count
-    field all point at column 1. Its token map, "1".."m" -> 0..m-1, is
-    built on first use."""
+    """The PrefLib soc format's steps of the line loop. Its errors in a
+    count field all point at column 1. Its token map, "1".."m" -> 0..m-1, is
+    built only once an order of m tokens, or batch(), needs it."""
 
-    noun, sep = "vote count", ","
+    noun, form, sep = "vote count", "<id>,<id>,...", ","
     count_column = staticmethod(lambda raw, digits: 1)
 
     def __init__(self) -> None:
@@ -388,105 +405,63 @@ class _SocReader(_Reader):
             self.tokens = {str(k): k - 1 for k in range(1, self.m + 1)}
         return self.tokens
 
-    def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
-        """Data lines are read into 0-based id tuples, shared between lines
-        with the same order text while the cache grows (as in _NativeReader).
+    def other_line(self, line: str, line_no: int) -> bool:
+        """Reads a comment or metadata line; raises for an order with ties.
         The metadata checks that need the whole file run in finish()."""
-        m = self.m
-        alt_names, named_after = self.alt_names, self.named_after
-        row_no, votes = self.row_no, self.votes
-        repeats_an_id = self.repeats_an_id
-        known, tokens, counts = self.known, self.tokens, self.counts
-        known_misses = self.known_misses
-        line_no = self.line_no
-
-        for line_no, raw in enumerate(lines, start=line_no + 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                match = _META_RE.match(line)
-                if not match:
-                    continue  # free-form comment
-                key, index, value = match.group(1).strip(), match.group(2), match.group(3)
-                if key == "NUMBER ALTERNATIVES" and not index:
-                    declared = _meta_int(key, value, line_no)
-                    shown = f"a number of more than {MAX_DIGITS} digits" if declared is None else declared
-                    if m is not None and declared != m:
-                        raise InconsistentMetadata(
-                            f"NUMBER ALTERNATIVES redeclared as {shown}, was {m}", line=line_no
-                        )
-                    if declared is None:
-                        raise UnsupportedProfile(
-                            f"NUMBER ALTERNATIVES is {shown}, beyond the supported size", line=line_no
-                        )
-                    if declared > MAX_VERTICES:
-                        raise UnsupportedProfile(
-                            f"{declared} alternatives is beyond the supported size", line=line_no
-                        )
-                    m = self.m = declared
-                elif key == "ALTERNATIVE NAME" and index:
-                    idx = _decimal(index)
-                    if idx is None:
-                        raise InconsistentMetadata(
-                            f"ALTERNATIVE NAME index has more than {MAX_DIGITS} digits", line=line_no
-                        )
-                    if idx in alt_names:
-                        raise InconsistentMetadata(
-                            f"ALTERNATIVE NAME {idx} declared twice", line=line_no
-                        )
-                    alt_names[idx] = value
-                    named_after[idx] = row_no
-                elif key == "NUMBER VOTERS" and not index:
-                    declared_voters = _meta_int(key, value, line_no)
-                    if declared_voters is None:
-                        raise ProfileSyntaxError(
-                            f"NUMBER VOTERS has more than {MAX_DIGITS} digits", line=line_no
-                        )
-                    self.declared_voters = declared_voters
-                # every other key is forward-compatible metadata
-                continue
-
+        if not line.startswith("#"):
             if "{" in line or "}" in line:
                 raise UnsupportedProfile("orders with ties are not supported", line=line_no)
-            count_part, sep, rest = line.partition(":")
-            if not sep:
-                raise ProfileSyntaxError("expected '<count>: <id>,<id>,...'", line=line_no, column=1)
-            count = counts.get(count_part)
-            if count is None:
-                count = self.read_count(count_part, raw, line_no)
-            else:
-                self.count_misses = 0
-            alternatives = _require_m(m, line_no)
-            ids = known.get(rest)
-            if ids is None:
-                # lstrip takes the space after ':' off the first id; it changes no
-                # token once stripped, which is all _soc_ids looks at
-                parts = rest.lstrip().split(",")
-                if len(parts) == alternatives:
-                    if not tokens:
-                        tokens = self.token_ids()
-                    try:
-                        ids = tuple(map(tokens.__getitem__, parts))
-                    except KeyError:
-                        pass
-                if ids is None:
-                    ids = _soc_ids(parts, alternatives, line_no)
-                if len(set(ids)) != alternatives:
-                    repeats_an_id = True
-                elif known_misses < _CACHE_MISSES:
-                    known[rest] = ids
-                known_misses += 1
-            else:
-                known_misses = 0
-            votes += count
-            row_no += 1
-            yield ids, count
+            return False
+        match = _META_RE.match(line)
+        if not match:
+            return True  # free-form comment
+        key, index, value = match.group(1).strip(), match.group(2), match.group(3)
+        if key == "NUMBER ALTERNATIVES" and not index:
+            declared = _meta_int(key, value, line_no)
+            shown = f"a number of more than {MAX_DIGITS} digits" if declared is None else declared
+            if self.m is not None and declared != self.m:
+                raise InconsistentMetadata(
+                    f"NUMBER ALTERNATIVES redeclared as {shown}, was {self.m}", line=line_no
+                )
+            if declared is None:
+                raise UnsupportedProfile(
+                    f"NUMBER ALTERNATIVES is {shown}, beyond the supported size", line=line_no
+                )
+            if declared > MAX_VERTICES:
+                raise UnsupportedProfile(
+                    f"{declared} alternatives is beyond the supported size", line=line_no
+                )
+            self.m = declared
+        elif key == "ALTERNATIVE NAME" and index:
+            idx = _decimal(index)
+            if idx is None:
+                raise InconsistentMetadata(
+                    f"ALTERNATIVE NAME index has more than {MAX_DIGITS} digits", line=line_no
+                )
+            if idx in self.alt_names:
+                raise InconsistentMetadata(
+                    f"ALTERNATIVE NAME {idx} declared twice", line=line_no
+                )
+            self.alt_names[idx] = value
+            self.named_after[idx] = self.row_no
+        elif key == "NUMBER VOTERS" and not index:
+            declared_voters = _meta_int(key, value, line_no)
+            if declared_voters is None:
+                raise ProfileSyntaxError(
+                    f"NUMBER VOTERS has more than {MAX_DIGITS} digits", line=line_no
+                )
+            self.declared_voters = declared_voters
+        # every other key is forward-compatible metadata
+        return True
 
-        self.line_no = line_no
-        self.row_no, self.votes = row_no, votes
-        self.repeats_an_id = repeats_an_id
-        self.known_misses = known_misses
+    def exact_ids(self, text: str, line_no: int) -> Vote:
+        """The ids _soc_ids reads from an order the token map refused. An
+        order that repeats an id flags the file for replay."""
+        m = _require_m(self.m, line_no)
+        ids = _soc_ids(text.split(","), m, line_no)
+        if len(set(ids)) != m:
+            self.repeats_an_id = True
+        return ids
 
     def finish(self) -> None:
         """The checks that need the whole file, then the names and replay."""

@@ -10,7 +10,7 @@ from linkdomain import (
     gen_edge_realizing,
     write_native,
 )
-from linkdomain import profiles
+from linkdomain import cli, profiles
 from linkdomain.cli import main
 
 K3_PROFILE = (
@@ -232,6 +232,18 @@ class TestOracle:
         path = tmp_path / "p.soc"
         path.write_text(SOC_PROFILE)
         assert main(["oracle", str(path), "--format", "soc"]) == 0
+
+    def test_streams_the_profile_as_check_does(self, k3_path, tmp_path, monkeypatch, capsys):
+        def whole_read(data):
+            raise AssertionError("oracle read the whole profile into an Election")
+
+        monkeypatch.setattr(cli, "parse_native", whole_read)
+        monkeypatch.setattr(cli, "parse_preflib_soc", whole_read)
+        soc = tmp_path / "p.soc"
+        soc.write_text(SOC_PROFILE)
+        assert main(["oracle", k3_path]) == 0
+        assert main(["oracle", str(soc), "--format", "soc"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["AGREE: linked", "AGREE: linked"]
 
 
 class TestGraphFile:

@@ -176,6 +176,7 @@ CORPUS = [
     ("native", "candidates: a\n3: a\n1: a\n"),
     ("native", "# only a comment\n\n"),
     ("native", "1: a > b\n"),
+    ("native", "x: a > b\n"),  # the missing header is reported before the count
     ("native", "candidates: a, b\n1 a > b\n"),
     ("soc", "# NUMBER ALTERNATIVES: 2\n1: 01,2\n1: ١,2\n1: 2,01\n"),
     ("soc", "# NUMBER ALTERNATIVES: 2\n1: 1,3\n"),
@@ -195,6 +196,7 @@ CORPUS = [
     ("soc", "# NUMBER ALTERNATIVES: 2\n1: 1,1\n1: 1,1\n1: 2,2\n"),
     ("soc", "# NUMBER VOTERS: x\n"),
     ("soc", "1: 1,2\n# NUMBER ALTERNATIVES: 2\n"),
+    ("soc", "x: 1,2\n"),  # the count is reported before the undeclared NUMBER ALTERNATIVES
     ("soc", "# NUMBER ALTERNATIVES: 2\n# NUMBER ALTERNATIVES: 3\n"),
     ("soc", "# NUMBER ALTERNATIVES: 2\r\n1: 1,2\x0c1: 2,1\u20281: 1,2\r\n"),
     # a name declared after a data line that used the default name

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from linkdomain import (
     ConnectivityGraph,
     UnrepresentableName,
+    UnsupportedProfile,
     export_dot,
     gen_edge_realizing,
     parse_native,
@@ -276,15 +277,12 @@ def test_edge_lines_past_the_header_match_parser(monkeypatch, fmt, head, clean, 
     assert_scan_matches(monkeypatch, fmt, _around(head, clean, edge), BATCH_CHUNKS)
 
 
-def test_text_cache_stops_growing_after_lines_missed_in_a_row(monkeypatch):
+def _cached_texts(monkeypatch, lines: list[str]) -> list[str]:
+    """The batch text cache of the reader that scanned the native profile
+    of these lines, with caches that stop growing after 100 misses in a
+    row, and lists cut every 1,000 lines."""
     monkeypatch.setattr(profiles, "_CACHE_MISSES", 100)
     monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 22)  # one list of lines, cut every 1,000
-    header, *rankings = _no_repeat_profile(5000).decode().splitlines()
-    # The line loop reads the header and 999 rankings. The next 1,000 lines
-    # miss, and the first 100 of them are cached; the 1,000 after that miss
-    # too, and none is. A hit on the last of the next 1,000 lets the cache
-    # grow again, by 100 in the next 1,000 and by none in the last line.
-    lines = [header, *rankings[:3998], rankings[999], *rankings[3998:4999]]
     data = ("\n".join(lines) + "\n").encode()
     want = expected("native", data)
     readers = []
@@ -297,8 +295,30 @@ def test_text_cache_stops_growing_after_lines_missed_in_a_row(monkeypatch):
     monkeypatch.setattr(profiles._NativeReader, "__init__", kept)
     assert scanned("native", data) == want
     (reader,) = readers
+    return list(reader.texts)
+
+
+def test_text_cache_stops_growing_after_lines_missed_in_a_row(monkeypatch):
+    header, *rankings = _no_repeat_profile(5000).decode().splitlines()
+    # The line loop reads the header and 999 rankings. The next 1,000 lines
+    # miss, and the first 100 of them are cached; the 1,000 after that miss
+    # too, and none is. A hit on the last of the next 1,000 lets the cache
+    # grow again, by 100 in the next 1,000 and by none in the last line.
+    lines = [header, *rankings[:3998], rankings[999], *rankings[3998:4999]]
     cached = rankings[999:1099] + rankings[3998:4098]
-    assert list(reader.texts) == [line.partition(":")[2] for line in cached]
+    assert _cached_texts(monkeypatch, lines) == [line.partition(":")[2] for line in cached]
+
+
+def test_text_cache_grows_again_after_a_list_of_hits(monkeypatch):
+    header, *rankings = _no_repeat_profile(3000).decode().splitlines()
+    # The line loop reads the header and 999 rankings. Of the next 1,000
+    # lines, which all miss, the first 100 are cached. The 1,000 after that
+    # all hit, which clears the misses, so the cache takes the first 100 of
+    # the next 999 lines that miss, and none of the last line.
+    hits = [rankings[999 + k % 100] for k in range(1000)]
+    lines = [header, *rankings[:1999], *hits, *rankings[1999:]]
+    cached = rankings[999:1099] + rankings[1999:2099]
+    assert _cached_texts(monkeypatch, lines) == [line.partition(":")[2] for line in cached]
 
 
 def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
@@ -371,6 +391,24 @@ def test_scan_memory_is_bounded_by_chunks_not_file_size(tmp_path, monkeypatch):
     parse_peak = _traced_peak(lambda: parse_native(path.read_bytes()))
     assert scan_peak < 2**19
     assert scan_peak < parse_peak / 4, (scan_peak, parse_peak)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [parse_preflib_soc, lambda data: scan_profile(io.BytesIO(data), "soc")],
+    ids=["parse_preflib_soc", "scan_profile"],
+)
+def test_soc_token_map_waits_for_an_order_of_m_tokens(read):
+    """An order far shorter than NUMBER ALTERNATIVES fails without the
+    token map of every alternative being built."""
+
+    def short_order():
+        with pytest.raises(UnsupportedProfile) as info:
+            read(b"# NUMBER ALTERNATIVES: 1000000\n1: 1,2\n")
+        assert info.value.line == 2
+
+    short_order()  # first-call allocations are not the read's
+    assert _traced_peak(short_order) < 2**20
 
 
 @pytest.mark.parametrize(
