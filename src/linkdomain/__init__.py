@@ -29,16 +29,8 @@ from .errors import (
     UnsupportedProfile,
     Violation,
 )
-from .generate import (
-    gen_edge_realizing,
-    gen_impartial_culture,
-    gen_linked_graph,
-    gen_pendant_clique,
-    gen_random_graph,
-)
 from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
 from .model import Candidate, Election, ProfileScan, Vote, default_names, top_two, validate_election
-from .oracle import brute_force_linked, enumerate_graphs, linked_via_all_pair_seeds
 from .profiles import export_dot, parse_graph, parse_native, parse_preflib_soc, scan_profile, write_native
 from .recognize import (
     ClosureState,
@@ -52,6 +44,35 @@ from .recognize import (
 )
 
 __version__ = "0.1.0"
+
+# The generators and the brute-force oracle serve tests, fixtures and the gen
+# and oracle commands, never check: they are imported on first access.
+_LAZY = {
+    "gen_edge_realizing": "generate",
+    "gen_impartial_culture": "generate",
+    "gen_linked_graph": "generate",
+    "gen_pendant_clique": "generate",
+    "gen_random_graph": "generate",
+    "brute_force_linked": "oracle",
+    "enumerate_graphs": "oracle",
+    "linked_via_all_pair_seeds": "oracle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "Candidate",

@@ -6,7 +6,6 @@ stored as a tuple of candidate ids, most-preferred first. Duplicate
 rankings are kept with an explicit multiplicity instead of being expanded.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,14 +23,56 @@ from .errors import (
 Vote = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    id: int
-    name: str
+class Record:
+    """Base of the package's immutable value types. A subclass lists its
+    fields in __slots__, in constructor order, and fills them in __init__
+    with _fill(). Records compare and hash by their field values, and only
+    with records of the same class; repr() shows every field; positional
+    match patterns and pickling take the fields in that order; assigning or
+    deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class Election:
+class Candidate(Record):
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str):
+        self._fill(id, name)
+
+
+class Election(Record):
     """A candidate set plus a multiset of complete strict rankings.
 
     votes holds (ranking, multiplicity) pairs in input order; the same
@@ -39,8 +80,10 @@ class Election:
     construction and safe to share across threads.
     """
 
-    candidates: tuple[Candidate, ...]
-    votes: tuple[tuple[Vote, int], ...]
+    __slots__ = ("candidates", "votes")
+
+    def __init__(self, candidates: tuple[Candidate, ...], votes: tuple[tuple[Vote, int], ...]):
+        self._fill(candidates, votes)
 
     @property
     def m(self) -> int:
@@ -60,15 +103,15 @@ class Election:
         return frozenset(ranking[:2] for ranking, _ in self.votes) if self.m > 1 else frozenset()
 
 
-@dataclass(frozen=True)
-class ProfileScan:
+class ProfileScan(Record):
     """What profiles.scan_profile keeps of a valid profile: the candidate
     names, the vote total and the top pairs. The connectivity graph depends
     on nothing else, so build_graph accepts it in place of an Election."""
 
-    names: tuple[str, ...]
-    n: int
-    top_pairs: frozenset[tuple[int, int]]
+    __slots__ = ("names", "n", "top_pairs")
+
+    def __init__(self, names: tuple[str, ...], n: int, top_pairs: frozenset[tuple[int, int]]):
+        self._fill(names, n, top_pairs)
 
     @property
     def m(self) -> int:

@@ -38,7 +38,7 @@ import re
 import unicodedata
 from itertools import chain, compress, repeat
 from operator import add, methodcaller, mul, not_
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InconsistentMetadata,
@@ -165,6 +165,7 @@ class _Reader:
     form: str  # what follows the count field, in error messages
     sep: str  # what joins the tokens of a ranking text
     replay = False  # only a soc file may need a second, whole read
+    check_m: Callable[[int], object] | None = None  # called with m once a line gives it
 
     def __init__(self) -> None:
         self.names: list[str] = []
@@ -236,6 +237,12 @@ class _Reader:
             votes += count
             yield ids, count
         self.line_no, self.votes, self.known_misses = line_no, votes, known_misses
+
+    def declare_m(self, m: int) -> None:
+        """Records the candidate count a header or metadata line gives."""
+        self.m = m
+        if self.check_m is not None:
+            self.check_m(m)
 
     def token_ids(self) -> dict[str, int]:
         """The token map, which a subclass may build on first use."""
@@ -356,7 +363,7 @@ class _NativeReader(_Reader):
             if "" in header:
                 raise ProfileSyntaxError("empty candidate name in header", line=line_no)
             self.names, self.index = index_candidates(header, self.violations)
-            self.m = len(self.names)
+            self.declare_m(len(self.names))
             # A name with '>' is cut apart in every ranking, so none can be valid.
             self.tokens = {} if any(">" in name for name in self.names) else self.index
             return True
@@ -431,7 +438,7 @@ class _SocReader(_Reader):
                 raise UnsupportedProfile(
                     f"{declared} alternatives is beyond the supported size", line=line_no
                 )
-            self.m = declared
+            self.declare_m(declared)
         elif key == "ALTERNATIVE NAME" and index:
             idx = _decimal(index)
             if idx is None:
@@ -520,7 +527,9 @@ def parse_preflib_soc(text: str | bytes) -> Election:
     return make_election(reader.names, votes, reader.violations)
 
 
-def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
+def scan_profile(
+    file: BinaryIO, fmt: str = "native", check_m: Callable[[int], object] | None = None
+) -> ProfileScan:
     """What `check` needs of a profile in the given format ("native" or
     "soc"): its names, vote total and top pairs, read from a binary file
     _CHUNK_BYTES at a time.
@@ -535,7 +544,9 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
     the tokens of one list, not O(file size). A soc file whose rows
     must be read again by name is read whole by parse_preflib_soc; a soc
     file that cannot seek back for that, such as a pipe, is read whole first.
-    Any other fmt is a ValueError.
+    Any other fmt is a ValueError. check_m, if given, is called with the
+    candidate count as soon as the header or NUMBER ALTERNATIVES line gives
+    it, before any later line is checked, and may raise to stop the scan there.
     """
     if fmt == "native":
         reader, start = _NativeReader(), 0
@@ -545,6 +556,7 @@ def scan_profile(file: BinaryIO, fmt: str = "native") -> ProfileScan:
         reader, start = _SocReader(), file.tell()
     else:
         raise ValueError(f"unknown profile format {fmt!r}: expected 'native' or 'soc'")
+    reader.check_m = check_m
     tops: set[tuple[int, ...]] = set()
     chunks = _read_text(file)
     try:

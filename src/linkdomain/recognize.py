@@ -19,20 +19,18 @@ same verdict. The witness is the FIFO insertion order of the seed sweep
 
 import heapq
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import kernels
 from .errors import NotAPermutation, SeedNotEdge
 from .graph import ConnectivityGraph, Edge, Mode, build_graph
-from .model import Election
+from .model import Election, Record
 
 LinkedOrder = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClosureState:
+class ClosureState(Record):
     """Result of growing one seed: insertion order plus per-vertex bookkeeping.
 
     counters[v] is the number of neighbors of v inside the reached set for
@@ -40,10 +38,12 @@ class ClosureState:
     `reached` had a counter of at least 2 when it was inserted.
     """
 
-    seed: Edge
-    reached: tuple[int, ...]
-    in_set: tuple[bool, ...]
-    counters: tuple[int, ...]
+    __slots__ = ("seed", "reached", "in_set", "counters")
+
+    def __init__(
+        self, seed: Edge, reached: tuple[int, ...], in_set: tuple[bool, ...], counters: tuple[int, ...]
+    ):
+        self._fill(seed, reached, in_set, counters)
 
 
 class StuckCertificate(Mapping):
@@ -93,11 +93,16 @@ class StuckCertificate(Mapping):
         return max(self._sizes, default=0)
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    linked: bool
-    witness: LinkedOrder | None = None
-    certificate: StuckCertificate | None = None
+class RecognitionResult(Record):
+    __slots__ = ("linked", "witness", "certificate")
+
+    def __init__(
+        self,
+        linked: bool,
+        witness: LinkedOrder | None = None,
+        certificate: StuckCertificate | None = None,
+    ):
+        self._fill(linked, witness, certificate)
 
     @property
     def verdict(self) -> str:

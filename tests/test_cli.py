@@ -233,6 +233,24 @@ class TestOracle:
         path.write_text(SOC_PROFILE)
         assert main(["oracle", str(path), "--format", "soc"]) == 0
 
+    @pytest.mark.parametrize("fmt, head", [
+        ("native", "candidates: a, b, c, d, e, f, g, h, i\n"),
+        ("soc", "# NUMBER ALTERNATIVES: 9\n"),
+    ])
+    def test_cap_refuses_at_the_header(self, tmp_path, monkeypatch, capsys, fmt, head):
+        """The cap error comes as soon as the header gives m: the malformed
+        line after it is never checked, nor the invalid UTF-8 after that read."""
+        monkeypatch.setattr(profiles, "_CHUNK_BYTES", 16)
+        path = tmp_path / "p"
+        path.write_bytes(head.encode() + b"no colon here\n" + b"\xff" * 64 + b"\n")
+        assert main(["oracle", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == "error: profile has 9 candidates, oracle capped at 8\n"
+
+    def test_cap_defaults_to_the_oracle_cap(self):
+        from linkdomain.oracle import DEFAULT_CAP
+
+        assert cli.build_parser().parse_args(["oracle", "p"]).cap == DEFAULT_CAP == 8
+
     def test_streams_the_profile_as_check_does(self, k3_path, tmp_path, monkeypatch, capsys):
         def whole_read(data):
             raise AssertionError("oracle read the whole profile into an Election")

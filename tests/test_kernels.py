@@ -287,11 +287,35 @@ def test_filter_reads_each_lower_end_row_once():
     assert counting.read <= bound, (counting.read, bound)
 
 
-def test_import_leaves_numpy_out():
+LAZY_NAMES = {
+    "generate": ["gen_edge_realizing", "gen_impartial_culture", "gen_linked_graph", "gen_pendant_clique",
+                 "gen_random_graph"],
+    "oracle": ["brute_force_linked", "enumerate_graphs", "linked_via_all_pair_seeds"],
+}
+IMPORT_SET_CHECK = """
+import sys, linkdomain, linkdomain.cli
+print(sorted({"numpy", "dataclasses", "linkdomain.generate", "linkdomain.oracle"} & set(sys.modules)))
+print(sorted(set(linkdomain.__all__) - set(vars(linkdomain))))
+assert set(linkdomain.__all__) <= set(dir(linkdomain))
+import linkdomain.generate, linkdomain.oracle
+for module, names in LAZY_NAMES.items():
+    for name in names:
+        assert getattr(linkdomain, name) is getattr(getattr(linkdomain, module), name), name
+star = {}
+exec("from linkdomain import *", star)
+assert set(linkdomain.__all__) <= set(star)
+"""
+
+
+def test_import_loads_only_what_check_runs():
+    """`import linkdomain, linkdomain.cli`, all that `check` imports, loads
+    neither numpy, nor dataclasses, nor the generator and oracle modules,
+    whose public names the package resolves on first access."""
     src = str(Path(linkdomain.__file__).resolve().parents[1])
-    code = "import sys, linkdomain, linkdomain.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-c", f"LAZY_NAMES = {LAZY_NAMES!r}\n{IMPORT_SET_CHECK}"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    lazy = sorted(name for names in LAZY_NAMES.values() for name in names)
+    assert out.stdout.splitlines() == ["[]", repr(lazy)]

@@ -1,13 +1,21 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from linkdomain import (
+    Candidate,
+    ClosureState,
     DuplicateCandidateName,
+    Election,
     EmptyCandidateSet,
     IncompleteRanking,
     InvalidElection,
     NonPositiveMultiplicity,
+    ProfileScan,
+    RecognitionResult,
     TooFewCandidates,
     UnknownCandidate,
     default_names,
@@ -116,3 +124,57 @@ def test_default_names_roll_over_past_z():
 def test_election_from_ids_rejects_non_permutation():
     with pytest.raises(InvalidElection):
         election_from_ids([((0, 0), 1)], 2)
+
+
+class TestRecordValues:
+    """The package's record types are immutable values: equal and hashed by
+    their fields, only within one class, with a dataclass-style repr."""
+    RECORDS = [
+        (Candidate(0, "a"), Candidate(id=0, name="a"), Candidate(1, "a"),
+         "Candidate(id=0, name='a')"),
+        (Election((Candidate(0, "a"),), (((0,), 2),)),
+         Election(votes=(((0,), 2),), candidates=(Candidate(0, "a"),)),
+         Election((Candidate(0, "a"),), (((0,), 3),)),
+         "Election(candidates=(Candidate(id=0, name='a'),), votes=(((0,), 2),))"),
+        (ProfileScan(("a", "b"), 2, frozenset({(0, 1)})),
+         ProfileScan(names=("a", "b"), n=2, top_pairs=frozenset({(0, 1)})),
+         ProfileScan(("a", "b"), 3, frozenset({(0, 1)})),
+         "ProfileScan(names=('a', 'b'), n=2, top_pairs=frozenset({(0, 1)}))"),
+        (ClosureState((0, 1), (0, 1), (True, True), (1, 1)),
+         ClosureState(seed=(0, 1), reached=(0, 1), in_set=(True, True), counters=(1, 1)),
+         ClosureState((0, 1), (1, 0), (True, True), (1, 1)),
+         "ClosureState(seed=(0, 1), reached=(0, 1), in_set=(True, True), counters=(1, 1))"),
+        (RecognitionResult(True, (0, 1)), RecognitionResult(linked=True, witness=(0, 1), certificate=None),
+         RecognitionResult(True, (1, 0)),
+         "RecognitionResult(linked=True, witness=(0, 1), certificate=None)"),
+    ]
+
+    @pytest.mark.parametrize("record, same, other, text", RECORDS)
+    def test_value_semantics(self, record, same, other, text):
+        fields = tuple(getattr(record, name) for name in type(record).__match_args__)
+        assert record == same and hash(record) == hash(same) == hash(fields)
+        assert record != other and record != fields
+        assert repr(record) == repr(same) == text
+        assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
+        for name in type(record).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_only_the_same_class_is_equal(self):
+        class Named(Candidate):
+            pass
+
+        assert Named(0, "a") != Candidate(0, "a")
+        assert Named(0, "a") == Named(0, "a")
+
+    def test_defaults_and_patterns(self):
+        result = RecognitionResult(linked=False)
+        assert result == RecognitionResult(False, None, None)
+        assert (result.witness, result.certificate, result.verdict) == (None, None, "not-linked")
+        match Candidate(2, "c"):
+            case Candidate(cid, name):
+                assert (cid, name) == (2, "c")
+        with pytest.raises(TypeError):
+            Candidate(0)

@@ -439,3 +439,13 @@ def test_gen_rejects_names_it_cannot_read_back(tmp_path, capsys, name):
     assert captured.out == ""
     assert "empty or has surrounding whitespace" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, data, m", [
+    ("native", b"# c\ncandidates: a, b, c\n1: a > b > c\n", 3),
+    ("soc", b"# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: 1\n1: 1,2\n", 2),
+])
+def test_check_m_hears_the_declared_count_and_changes_nothing(fmt, data, m):
+    heard = []
+    assert scan_profile(io.BytesIO(data), fmt, check_m=heard.append) == scan_profile(io.BytesIO(data), fmt)
+    assert heard == [m]
