@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
 from .model import Candidate, Election, ProfileScan, Vote, default_names, top_two, validate_election
-from .profiles import export_dot, parse_graph, parse_native, parse_preflib_soc, scan_profile, write_native
+from .profiles import parse_native, parse_preflib_soc, scan_profile
 from .recognize import (
     ClosureState,
     LinkedOrder,
@@ -45,9 +45,13 @@ from .recognize import (
 
 __version__ = "0.1.0"
 
-# The generators and the brute-force oracle serve tests, fixtures and the gen
-# and oracle commands, never check: they are imported on first access.
+# The generators, the brute-force oracle and the graph-file readers and
+# writers serve tests, fixtures, the gen and oracle commands and check's
+# --graph-out, never a plain check: they are imported on first access.
 _LAZY = {
+    "export_dot": "graphio",
+    "parse_graph": "graphio",
+    "write_native": "graphio",
     "gen_edge_realizing": "generate",
     "gen_impartial_culture": "generate",
     "gen_linked_graph": "generate",

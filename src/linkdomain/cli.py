@@ -20,13 +20,7 @@ from pathlib import Path
 from .errors import LinkDomainError
 from .graph import ConnectivityGraph, Mode, build_graph
 from .model import ProfileScan
-from .profiles import (
-    MAX_DIGITS,
-    export_dot,
-    parse_graph,
-    scan_profile,
-    write_native,
-)
+from .profiles import MAX_DIGITS, scan_profile
 # perfbench's profiles.parse_native and profiles.parse_soc trace hooks look these up here
 from .profiles import parse_native, parse_preflib_soc  # noqa: F401
 from .recognize import RecognitionResult, recognize
@@ -52,6 +46,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     edge_count = len(graph.csr_arrays()[1]) // 2  # each edge is in two rows of the stored adjacency
 
     if args.graph_out:
+        from .graphio import export_dot  # here, so a plain check never loads it
+
         Path(args.graph_out).write_text(export_dot(graph, names), encoding="utf-8")
 
     if args.json:
@@ -88,6 +84,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     from .generate import gen_edge_realizing, gen_impartial_culture  # here, so check never loads them
+    from .graphio import parse_graph, write_native
 
     if args.model == "ic":
         if args.candidates is None or args.votes is None:

@@ -24,37 +24,38 @@ header, metadata), and how it reads a ranking that is not written plainly.
 scan_profile reads a profile file in chunks and keeps only what the
 connectivity graph needs, so `check` runs in memory bounded by the
 candidate count rather than the file size. The reader checks the lines a
-list at a time with C-level built-ins over whole lists (batch()), and hands
-every list that batch() cannot vouch for to the line loop, which alone
-raises and records violations.
+list at a time with C-level built-ins over whole lists (batch()): a join and
+a split at ':' give the count fields and ranking texts, and a join with a
+"\n" marker after each text and a split at the separator give every token
+in turn. It hands every list that batch() cannot vouch for to the line
+loop, which alone raises and records violations.
 
-Graph files are read by parse_graph. Every reader accepts bytes or str,
-raises only package errors, and gives every failure a line number.
+Every reader accepts bytes or str, raises only package errors, and gives
+every failure a line number. Graph files, and writing profiles, are in
+graphio.
 """
 
 import codecs
 import io
 import re
 import unicodedata
-from itertools import chain, compress, repeat
-from operator import add, methodcaller, mul, not_
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from itertools import compress, repeat
+from operator import not_, sub
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import (
     InconsistentMetadata,
     InvalidElection,
     ProfileError,
     ProfileSyntaxError,
-    UnrepresentableName,
     UnsupportedProfile,
     Violation,
 )
-from .graph import ConnectivityGraph
-from .model import Election, ProfileScan, Vote, default_names, index_candidates, make_election, resolve_ranking
+from .model import Election, ProfileScan, Vote, index_candidates, make_election, resolve_ranking
 from .model import validate_election  # noqa: F401 - perfbench's trace hooks look it up here
 
 MAX_DIGITS = 4300  # the longest decimal string int() converts by default
-MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices, accepted
+MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices (graphio), accepted
 
 _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
 _CACHE_MISSES = 4096  # a parser's caches stop growing after this many misses in a row
@@ -64,8 +65,6 @@ _BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
 _INT_RE = re.compile(r"([+-]?)(\d+(?:_\d+)*)")  # what int() reads, once stripped
-_DOT_NAME = r'"((?:[^"\\]|\\["\\])*)"'  # export_dot escapes exactly '"' and '\'
-_DOT_LINE_RE = re.compile(rf"{_DOT_NAME}(?:\s*--\s*{_DOT_NAME})?\s*;?")
 
 
 def _decode(text: str | bytes) -> str:
@@ -176,10 +175,10 @@ class _Reader:
         self.tokens: dict[str, int] = {}  # token -> id, for the tokens of a plainly written ranking
         self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
         self.counts: dict[str, int] = {}  # count field -> count
-        self.texts: dict[str, int] = {}  # ranking text -> first * m + second of its ids
+        self.texts: dict[str, int] = {}  # ranking text -> its code, (1 << first) - (1 << second) of its ids
         self.known_misses = self.count_misses = self.text_misses = 0  # lines in a row that missed
-        self.batch_ids: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> id
-        self.bits: dict[str, int] = {}  # and -> 1 << id
+        self.bits: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> 1 << id
+        self.pairs: dict[int, tuple[int, int]] = {}  # code -> top pair
 
     def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
         """The rows of every line of the concatenated chunks, then finish()."""
@@ -275,22 +274,31 @@ class _Reader:
 
         - each line splits at its first ':' into a count field, which the
           loop has cached or which is a positive integer in ASCII digits,
-          and a ranking text;
+          and a ranking text. When every line holds exactly one ':', the
+          lines joined at ':' split into count fields and texts in turn;
+          else each line is partitioned at its first ':';
         - each text is in the bounded cache of texts seen valid, or is m
-          tokens joined by sep, each in the token map (maybe after the space
-          that follows ':'), with m distinct ids.
+          tokens joined by sep, each in the token map (maybe after one
+          space, as after ':' or after sep), with m distinct ids (see
+          _codes()).
 
         No count field it takes starts with whitespace and no token ends
         with it, so a line with surrounding whitespace is never vouched for.
         lines() alone raises and records violations."""
-        m = self.m
+        m, k = self.m, len(lines)
         if not self.bits:
             if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
                 return None
-            self.batch_ids = self.tokens | {" " + token: i for token, i in self.tokens.items()}
-            self.bits = {token: 1 << i for token, i in self.batch_ids.items()}
-        # A line without ':' gives the empty text, which has no separator.
-        heads, _, texts = zip(*map(methodcaller("partition", ":"), lines))
+            bits = {token: 1 << i for token, i in self.tokens.items()}
+            self.bits = bits | {" " + token: bit for token, bit in bits.items()} | {"\n": 0}  # "\n": _codes's marker
+            self.pairs = {(1 << a) - (1 << b): (a, b) for a in range(m) for b in range(m) if a != b}
+        if list(map(str.count, lines, repeat(":"))).count(1) == k:
+            # one join and one split give each line's count field and text in turn
+            fields = ":".join(lines).split(":")
+            heads, texts = fields[::2], fields[1::2]
+        else:
+            # A line without ':' gives the empty text, which has no separator.
+            heads, _, texts = zip(*map(str.partition, lines, repeat(":")))
         counts = list(map(self.counts.get, heads))
         if not all(counts):
             # what read_count makes of a count field of plain digits
@@ -314,35 +322,38 @@ class _Reader:
             room = _CACHE_MISSES - self.text_misses
             if room > 0:
                 self.texts.update(zip(new[:room], new_codes))
-            after_hit = next(compress(range(len(codes)), reversed(codes)), None)  # misses since the last hit
-            self.text_misses = self.text_misses + len(codes) if after_hit is None else after_hit
+            after_hit = next(compress(range(k), reversed(codes)), None)  # misses since the last hit
+            self.text_misses = self.text_misses + k if after_hit is None else after_hit
             codes += new_codes
         found = set(codes)
         found.discard(None)
-        self.line_no += len(lines)
-        self.row_no += len(lines)
+        self.line_no += k
+        self.row_no += k
         self.votes += sum(counts)
-        return set(map(divmod, found, repeat(m)))
+        return set(map(self.pairs.__getitem__, found))
 
     def _codes(self, texts: list[str]) -> list[int] | None:
-        """first * m + second for the ids of each text, or None unless every
-        text is m tokens joined by sep, each in self.batch_ids, with m distinct ids."""
+        """(1 << first) - (1 << second) for the ids of each text, its code,
+        or None unless every text is m tokens joined by sep, each in
+        self.bits, with m distinct ids."""
         m, sep, k = self.m, self.sep, len(texts)
-        if list(map(str.count, texts, repeat(sep))).count(m - 1) != k:
+        # The texts, each followed by a "\n" marker, split into their tokens
+        # and the markers in turn. A line holds no "\n", so a "\n" token is
+        # a marker, and k of them at every (m+1)-th place show that each text
+        # gives exactly m tokens and no separator straddles a text and its
+        # marker.
+        tokens = (sep + "\n" + sep).join(texts).split(sep)
+        tokens.append("\n")
+        if len(tokens) != k * (m + 1) or tokens[m::m + 1].count("\n") != k:
             return None
-        # The join splits into the m tokens of each text in turn, unless a
-        # separator straddles two texts; that leaves a '>' in some token, and
-        # no name has one.
-        tokens = sep.join(texts).split(sep)
         try:
             bits = list(map(self.bits.__getitem__, tokens))
         except KeyError:
             return None
-        # m powers of two below 2**m sum to 2**m - 1 only when they differ
-        if list(map(sum, zip(*[iter(bits)] * m))).count((1 << m) - 1) != k:
+        # m powers of two below 2**m, and the marker's 0, sum to 2**m - 1 only when they differ
+        if list(map(sum, zip(*[iter(bits)] * (m + 1)))).count((1 << m) - 1) != k:
             return None
-        firsts = map(self.batch_ids.__getitem__, tokens[::m])
-        return list(map(add, map(mul, firsts, repeat(m)), map(self.batch_ids.__getitem__, tokens[1::m])))
+        return list(map(sub, bits[::m + 1], bits[1::m + 1]))
 
 
 class _NativeReader(_Reader):
@@ -626,106 +637,3 @@ def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:
 
 def _alt_name(alt_names: dict[int, str], idx: int) -> str:
     return alt_names.get(idx, str(idx))
-
-
-def write_native(election: Election) -> str:
-    """Serialize an Election to the native format; parse_native inverts this exactly."""
-    for name in election.names:
-        # the parser splits lines with str.splitlines, at more breaks than '\n'
-        if "," in name or ">" in name or (name and name.splitlines() != [name]):
-            raise UnrepresentableName(
-                f"candidate name {name!r} contains a reserved character (',', '>', line break)"
-            )
-        if not name or name != name.strip():
-            raise UnrepresentableName(
-                f"candidate name {name!r} is empty or has surrounding whitespace, "
-                "which parse_native would not read back"
-            )
-    lines = ["candidates: " + ", ".join(election.names)]
-    names = election.names
-    for ranking, mult in election.votes:
-        lines.append(f"{mult}: " + " > ".join(names[c] for c in ranking))
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(data: str | bytes) -> tuple[ConnectivityGraph, tuple[str, ...]]:
-    """A graph and its vertex names from an edge list ('u v' lines, 0-based
-    ids below MAX_VERTICES, named by default_names) or, when the first line
-    starts with 'graph', from DOT. Blank and '#' lines are skipped. Every
-    failure is a ProfileSyntaxError with its line (the last for a file with
-    no edge or vertex), raised before any per-vertex storage is allocated."""
-    lines = _decode(data).splitlines()
-    body = [(no, line) for no, line in enumerate(map(str.strip, lines), start=1) if line and line[0] != "#"]
-    eof = max(1, len(lines))
-    if body and body[0][1].startswith("graph"):
-        return _parse_dot(body, eof)
-
-    edges = []
-    for line_no, line in body:
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-            raise ProfileSyntaxError(f"expected a 'u v' edge line, got {line!r}", line=line_no)
-        ids = []
-        for part in parts:
-            digits = part.lstrip("0") or "0"
-            # the length test keeps int() off ids too long to convert
-            if len(digits) > len(str(MAX_VERTICES)) or int(digits) >= MAX_VERTICES:
-                raise ProfileSyntaxError(
-                    f"vertex id {part} is beyond the supported {MAX_VERTICES} vertices", line=line_no
-                )
-            ids.append(int(digits))
-        u, v = ids
-        if u == v:
-            raise ProfileSyntaxError(f"self-loop at vertex {u}", line=line_no)
-        edges.append((u, v))
-    if not edges:
-        raise ProfileSyntaxError("no edges; cannot infer the vertex count", line=eof)
-    m = max(map(max, edges)) + 1
-    return ConnectivityGraph(m, edges), default_names(m)
-
-
-def _parse_dot(body: list[tuple[int, str]], eof: int) -> tuple[ConnectivityGraph, tuple[str, ...]]:
-    """The inverse of export_dot. After the header 'graph {' each line is
-    '"name";' or '"a" -- "b";' (the ';' optional) up to a final '}'. Names
-    come declared vertices first, then edge endpoints as they appear."""
-    if body[0][1] != "graph {":
-        raise ProfileSyntaxError("expected the header 'graph {'", line=body[0][0])
-    if body[-1][1] != "}":
-        raise ProfileSyntaxError("expected '}' as the last line", line=body[-1][0])
-    declared: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    for line_no, line in body[1:-1]:
-        match = _DOT_LINE_RE.fullmatch(line)
-        if match is None:
-            raise ProfileSyntaxError(f"expected '\"name\";' or '\"a\" -- \"b\";', got {line!r}", line=line_no)
-        left, right = (re.sub(r'\\(["\\])', r"\1", name) if name else name for name in match.groups())
-        if right is None:
-            declared.append(left)
-        elif left == right:
-            raise ProfileSyntaxError(f"self-loop at vertex {_dot_quote(left)}", line=line_no)
-        else:
-            pairs.append((left, right))
-    ids = {name: i for i, name in enumerate(dict.fromkeys(chain(declared, chain.from_iterable(pairs))))}
-    if not ids:
-        raise ProfileSyntaxError("DOT graph declares no vertices", line=eof)
-    return ConnectivityGraph(len(ids), [(ids[a], ids[b]) for a, b in pairs]), tuple(ids)
-
-
-def export_dot(graph: ConnectivityGraph, names: Sequence[str]) -> str:
-    """Graphviz text for the graph: isolated vertices first, then edges
-    ascending. parse_graph reads it back to the same names and named edges."""
-    if len(names) != graph.m:
-        raise ValueError(f"expected {graph.m} names, got {len(names)}")
-    lines = ["graph {"]
-    for v in range(graph.m):
-        if graph.degree(v) == 0:
-            lines.append(f"  {_dot_quote(names[v])};")
-    for u, v in graph.edges:
-        lines.append(f"  {_dot_quote(names[u])} -- {_dot_quote(names[v])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_quote(name: str) -> str:
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'

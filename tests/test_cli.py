@@ -10,7 +10,7 @@ from linkdomain import (
     gen_edge_realizing,
     write_native,
 )
-from linkdomain import cli, profiles
+from linkdomain import cli, graphio, profiles
 from linkdomain.cli import main
 
 K3_PROFILE = (
@@ -269,18 +269,18 @@ class TestGraphFile:
     def no_large_graph(self, monkeypatch):
         """A graph of more than a few vertices here means an id got past the
         bound: fail before its adjacency lists are allocated."""
-        real = profiles.ConnectivityGraph
+        real = graphio.ConnectivityGraph
 
         def guarded(m, edges, *args):
             assert m <= 10, f"reader built a graph on {m} vertices"
             return real(m, edges, *args)
 
-        monkeypatch.setattr(profiles, "ConnectivityGraph", guarded)
+        monkeypatch.setattr(graphio, "ConnectivityGraph", guarded)
 
     def read(self, tmp_path, text):
         path = tmp_path / "g.edges"
         path.write_text(text)
-        return profiles.parse_graph(path.read_bytes())
+        return graphio.parse_graph(path.read_bytes())
 
     def test_comments_blank_lines_and_leading_zeros(self, tmp_path):
         graph, names = self.read(tmp_path, "# a path\n\n0 1\n  1\t002  \n")
@@ -319,7 +319,7 @@ class TestGraphFile:
         path = tmp_path / "g.edges"
         path.write_bytes(b"0 1\n# caf\xe9\n1 2\n")
         with pytest.raises(ProfileSyntaxError) as exc:
-            profiles.parse_graph(path.read_bytes())
+            graphio.parse_graph(path.read_bytes())
         assert exc.value.line == 2
         assert "invalid UTF-8" in str(exc.value)
 

@@ -291,13 +291,15 @@ LAZY_NAMES = {
     "generate": ["gen_edge_realizing", "gen_impartial_culture", "gen_linked_graph", "gen_pendant_clique",
                  "gen_random_graph"],
     "oracle": ["brute_force_linked", "enumerate_graphs", "linked_via_all_pair_seeds"],
+    "graphio": ["export_dot", "parse_graph", "write_native"],
 }
 IMPORT_SET_CHECK = """
 import sys, linkdomain, linkdomain.cli
-print(sorted({"numpy", "dataclasses", "linkdomain.generate", "linkdomain.oracle"} & set(sys.modules)))
+print(sorted({"numpy", "dataclasses", "linkdomain.generate", "linkdomain.oracle", "linkdomain.graphio"}
+             & set(sys.modules)))
 print(sorted(set(linkdomain.__all__) - set(vars(linkdomain))))
 assert set(linkdomain.__all__) <= set(dir(linkdomain))
-import linkdomain.generate, linkdomain.oracle
+import linkdomain.generate, linkdomain.oracle, linkdomain.graphio
 for module, names in LAZY_NAMES.items():
     for name in names:
         assert getattr(linkdomain, name) is getattr(getattr(linkdomain, module), name), name
@@ -309,8 +311,8 @@ assert set(linkdomain.__all__) <= set(star)
 
 def test_import_loads_only_what_check_runs():
     """`import linkdomain, linkdomain.cli`, all that `check` imports, loads
-    neither numpy, nor dataclasses, nor the generator and oracle modules,
-    whose public names the package resolves on first access."""
+    neither numpy, nor dataclasses, nor the generator, oracle and graph-file
+    modules, whose public names the package resolves on first access."""
     src = str(Path(linkdomain.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", f"LAZY_NAMES = {LAZY_NAMES!r}\n{IMPORT_SET_CHECK}"],

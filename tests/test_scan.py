@@ -201,6 +201,20 @@ def test_batch_step_takes_every_list_after_the_first(monkeypatch, fmt, m, weight
         assert sum(size for _, _, size in seen) == len(head) + len(body)
 
 
+def test_names_with_colons_keep_the_batch_step(monkeypatch):
+    """A ranking line over names that hold ':' splits at its first ':' in
+    the batch step too, so its lists do not fall back to the line loop."""
+    rng = random.Random(5)
+    names = ["a:b", "c d", "e", "f::g"]
+    body = [f"{rng.choice((1, 2, 13))}: " + " > ".join(rng.sample(names, 4)) + "\n" for _ in range(2000)]
+    data = ("candidates: " + ", ".join(names) + "\n" + "".join(body)).encode()
+    want = expected("native", data)
+    assert want[0] == "ok"
+    seen = _line_loop_spy(monkeypatch, "native")
+    assert scanned("native", data) == want
+    assert [entry[1] for entry in seen] == [0]  # the first list, which holds the header
+
+
 @pytest.mark.parametrize("tail", ["# ALTERNATIVE NAME 1: z\n", "# NUMBER VOTERS: 1\n"])
 def test_soc_state_carries_across_accepted_lists(monkeypatch, tail):
     head, body = _clean("soc", 3, 3000, 1)
@@ -231,6 +245,8 @@ NAMES_12 = ("candidates: 1, 2", ["1: 1 > 2", "2: 2 > 1"])
 SPACED = ("candidates: a:b, c d, e", ["1: a:b > c d > e", "1: e > c d > a:b"])
 C01 = ("candidates: c0, c1", ["1: c0 > c1", "3: c1 > c0"])
 SOC5 = ("# NUMBER ALTERNATIVES: 5", ["1: 1,2,3,4,5", "2: 5,4,3,2,1"])
+# names that hold, or are, a control character that breaks no line
+NUL = ("candidates: a\x00b, c, \x00", ["1: a\x00b > c > \x00", "3: \x00 > c > a\x00b"])
 EDGE_LINES = [
     ("native", *NAMES_12, "1: 2 > 1"),
     ("native", *NAMES_12, "1: 1 > 1"),
@@ -252,6 +268,14 @@ EDGE_LINES = [
     ("native", *C01, "1 : c1 > c0"),
     ("native", *C01, "9" * 4301 + ": c1 > c0"),
     ("native", *C01, "1: c0\n1: c1 > c0 > c1"),  # two wrong token counts that sum right
+    ("native", *C01, "1: c1 > c0 > c1\n1: c0"),
+    ("native", *C01, "1:: c0 > c1"),
+    ("native", *C01, ": c0 > c1"),
+    ("native", *C01, "5\nc0 > c1:3: c1 > c0"),  # no ':' and two, whose fields pair up as count and text
+    ("native", *C01, "1: c0 > c1:"),
+    ("native", *NUL, "2: c > a\x00b > \x00"),
+    ("native", *NUL, "1: c\x00 > a\x00b > \x00"),
+    ("native", *NUL, "1: c > a\x00b\n1: \x00 > c > a\x00b > \x00"),
     ("native", "candidates: a>b, c", ["1: a>b > c"], "1: c > a>b"),
     ("native", "candidates: a", ["1: a", "2: a"], "3: a"),
     ("native", "candidates: a", ["1: a", "2: a"], "1: a > a"),
@@ -262,6 +286,11 @@ EDGE_LINES = [
     ("soc", *SOC5, "1:  1,2,3,4,5"),
     ("soc", *SOC5, "1: 1,2,3,4,5 "),
     ("soc", *SOC5, "1: 1,2,3,4,05"),
+    ("soc", *SOC5, "1: 1,2,3,4\n1: 5,4,3,2,1,5"),
+    ("soc", *SOC5, "1: 5,4,3,2,1,5\n1: 1,2,3,4"),
+    ("soc", *SOC5, "1:: 1,2,3,4,5"),
+    ("soc", *SOC5, ": 1,2,3,4,5"),
+    ("soc", *SOC5, "5\n1,2,3,4,5:3: 5,4,3,2,1"),
     ("soc", *SOC5, "00: 1,2,3,4,5"),
     ("soc", *SOC5, "12345678901234567890: 5,4,3,2,1"),
     ("soc", "# NUMBER ALTERNATIVES: 2", ["1: 1,2", "1: 2,1"], "1: 2, 1"),
