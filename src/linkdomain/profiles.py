@@ -24,11 +24,15 @@ header, metadata), and how it reads a ranking that is not written plainly.
 scan_profile reads a profile file in chunks and keeps only what the
 connectivity graph needs, so `check` runs in memory bounded by the
 candidate count rather than the file size. The reader checks the lines a
-list at a time with C-level built-ins over whole lists (batch()): a join and
-a split at ':' give the count fields and ranking texts, and a join with a
-"\n" marker after each text and a split at the separator give every token
-in turn. It hands every list that batch() cannot vouch for to the line
-loop, which alone raises and records violations.
+list at a time with C-level built-ins over whole lists (batch()): a join
+with a "\n" marker after each line and a split at ':' give the count fields,
+ranking texts and markers in turn, and a join with a marker after each text
+and a split at the separator give every token in turn; a marker out of
+place shows a line with other than one ':', or a text of the wrong length.
+Once the text cache has stopped growing, a list none of whose texts it
+holds goes to the token split as it is, with no dedupe. It hands every list
+that batch() cannot vouch for to the line loop, which alone raises and
+records violations.
 
 Every reader accepts bytes or str, raises only package errors, and gives
 every failure a line number. Graph files, and writing profiles, are in
@@ -40,7 +44,7 @@ import io
 import re
 import unicodedata
 from itertools import compress, repeat
-from operator import not_, sub
+from operator import itemgetter, not_, sub
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import (
@@ -274,9 +278,10 @@ class _Reader:
 
         - each line splits at its first ':' into a count field, which the
           loop has cached or which is a positive integer in ASCII digits,
-          and a ranking text. When every line holds exactly one ':', the
-          lines joined at ':' split into count fields and texts in turn;
-          else each line is partitioned at its first ':';
+          and a ranking text. The lines, each followed by a "\n" marker,
+          split at ':' into count fields, texts and markers in turn when
+          every line holds exactly one ':', which the k markers at every
+          third place show; else each line is partitioned at its first ':';
         - each text is in the bounded cache of texts seen valid, or is m
           tokens joined by sep, each in the token map (maybe after one
           space, as after ':' or after sep), with m distinct ids (see
@@ -284,7 +289,10 @@ class _Reader:
 
         No count field it takes starts with whitespace and no token ends
         with it, so a line with surrounding whitespace is never vouched for.
-        lines() alone raises and records violations."""
+        Once the text cache has stopped growing, a list that gets no hit
+        from it goes to _codes() whole, with no dedupe: the cache and its
+        miss count come out as they would after the dedupe. lines() alone
+        raises and records violations."""
         m, k = self.m, len(lines)
         if not self.bits:
             if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
@@ -292,10 +300,14 @@ class _Reader:
             bits = {token: 1 << i for token, i in self.tokens.items()}
             self.bits = bits | {" " + token: bit for token, bit in bits.items()} | {"\n": 0}  # "\n": _codes's marker
             self.pairs = {(1 << a) - (1 << b): (a, b) for a in range(m) for b in range(m) if a != b}
-        if list(map(str.count, lines, repeat(":"))).count(1) == k:
-            # one join and one split give each line's count field and text in turn
-            fields = ":".join(lines).split(":")
-            heads, texts = fields[::2], fields[1::2]
+        # The lines, each followed by a "\n" marker, split into count fields,
+        # texts and markers in turn. A line holds no "\n", so a "\n" field
+        # is a marker, and k of them at every third place show that each line
+        # holds exactly one ':'.
+        fields = ":\n:".join(lines).split(":")
+        fields.append("\n")
+        if len(fields) == 3 * k and fields[2::3].count("\n") == k:
+            heads, texts = fields[::3], fields[1::3]
         else:
             # A line without ':' gives the empty text, which has no separator.
             heads, _, texts = zip(*map(str.partition, lines, repeat(":")))
@@ -313,6 +325,12 @@ class _Reader:
         codes = list(map(self.texts.get, texts))  # no code is 0: the top two ids differ
         if all(codes):
             self.text_misses = 0
+        elif self.text_misses >= _CACHE_MISSES and not any(codes):
+            # the cache has stopped growing and takes none of these texts
+            codes = self._codes(texts)
+            if codes is None:
+                return None
+            self.text_misses += k
         else:
             new = list(dict.fromkeys(compress(texts, map(not_, codes))))
             new_codes = self._codes(new)
@@ -347,7 +365,7 @@ class _Reader:
         if len(tokens) != k * (m + 1) or tokens[m::m + 1].count("\n") != k:
             return None
         try:
-            bits = list(map(self.bits.__getitem__, tokens))
+            bits = itemgetter(*tokens)(self.bits)  # a tuple: there are at least m + 1 > 2 tokens
         except KeyError:
             return None
         # m powers of two below 2**m, and the marker's 0, sum to 2**m - 1 only when they differ

@@ -272,6 +272,11 @@ EDGE_LINES = [
     ("native", *C01, "1:: c0 > c1"),
     ("native", *C01, ": c0 > c1"),
     ("native", *C01, "5\nc0 > c1:3: c1 > c0"),  # no ':' and two, whose fields pair up as count and text
+    # two ':' next to none, either way round: 3k fields, with the markers out of place
+    ("native", *C01, "1: c0 > c1:2\n c1 > c0"),
+    ("native", *C01, "c1 > c0\n1:2: c0 > c1"),
+    ("native", *C01, "1:2: c1 > c0\n3"),
+    ("native", *C01, "1: c0 > c1:3:1: c1 > c0"),  # four ':': five fields, the markers in place
     ("native", *C01, "1: c0 > c1:"),
     ("native", *NUL, "2: c > a\x00b > \x00"),
     ("native", *NUL, "1: c\x00 > a\x00b > \x00"),
@@ -291,6 +296,10 @@ EDGE_LINES = [
     ("soc", *SOC5, "1:: 1,2,3,4,5"),
     ("soc", *SOC5, ": 1,2,3,4,5"),
     ("soc", *SOC5, "5\n1,2,3,4,5:3: 5,4,3,2,1"),
+    ("soc", *SOC5, "1: 1,2,3,4,5:2\n 5,4,3,2,1"),
+    ("soc", *SOC5, "5,4,3,2,1\n1:2: 1,2,3,4,5"),
+    ("soc", *SOC5, "1:2: 5,4,3,2,1\n3"),
+    ("soc", *SOC5, "1: 1,2,3,4,5:3:1: 5,4,3,2,1"),
     ("soc", *SOC5, "00: 1,2,3,4,5"),
     ("soc", *SOC5, "12345678901234567890: 5,4,3,2,1"),
     ("soc", "# NUMBER ALTERNATIVES: 2", ["1: 1,2", "1: 2,1"], "1: 2, 1"),
@@ -348,6 +357,38 @@ def test_text_cache_grows_again_after_a_list_of_hits(monkeypatch):
     lines = [header, *rankings[:1999], *hits, *rankings[1999:]]
     cached = rankings[999:1099] + rankings[1999:2099]
     assert _cached_texts(monkeypatch, lines) == [line.partition(":")[2] for line in cached]
+
+
+def test_text_cache_that_stopped_growing_is_not_deduped(monkeypatch):
+    header, *rankings = _no_repeat_profile(2000).decode().splitlines()
+    # The line loop reads the header and 999 rankings, and the first 100 of
+    # the next 1,000, which all miss, are cached. The last 1,000 lines repeat
+    # five texts past those 100, with counts up to 3: none hits, and all go
+    # to _codes() as they are.
+    texts = [line.partition(":")[2] for line in rankings[1500:1505]]
+    repeats = [f"{1 + k % 3}:{texts[k % 5]}" for k in range(1000)]
+    codes, snapshots = [], []
+    batch, find = profiles._Reader.batch, profiles._Reader._codes
+
+    def spy_batch(self, lines):
+        before = dict(self.texts)
+        found = batch(self, lines)
+        snapshots.append((before, dict(self.texts), found))
+        return found
+
+    def spy_codes(self, texts):
+        codes.append(len(texts))
+        return find(self, texts)
+
+    monkeypatch.setattr(profiles._Reader, "batch", spy_batch)
+    monkeypatch.setattr(profiles._Reader, "_codes", spy_codes)
+    cached = _cached_texts(monkeypatch, [header, *rankings[:1999], *repeats])  # vote total and top pairs
+    assert cached == [line.partition(":")[2] for line in rankings[999:1099]]
+    # scan_profile reads the last line again with the chunk after it, so the
+    # last 1,000 lines come as a list of 999 and a list of one
+    assert codes == [1000, 999, 1]
+    for before, after, found in snapshots[-2:]:
+        assert found is not None and before == after
 
 
 def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
