@@ -29,10 +29,8 @@ with a "\n" marker after each line and a split at ':' give the count fields,
 ranking texts and markers in turn, and a join with a marker after each text
 and a split at the separator give every token in turn; a marker out of
 place shows a line with other than one ':', or a text of the wrong length.
-Once the text cache has stopped growing, a list none of whose texts it
-holds goes to the token split as it is, with no dedupe. It hands every list
-that batch() cannot vouch for to the line loop, which alone raises and
-records violations.
+Every list that batch() cannot vouch for goes to the line loop, which alone
+raises and records violations.
 
 Every reader accepts bytes or str, raises only package errors, and gives
 every failure a line number. Graph files, and writing profiles, are in
@@ -62,7 +60,7 @@ MAX_DIGITS = 4300  # the longest decimal string int() converts by default
 MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices (graphio), accepted
 
 _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
-_CACHE_MISSES = 4096  # a parser's caches stop growing after this many misses in a row
+_CACHE_LIMIT = 4096  # the misses in a row, or the size, at which a reader's caches stop growing
 _BATCH_LINES = 1000  # a reader's batch() takes at most this many lines at once
 _BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 64 bits
 
@@ -180,7 +178,7 @@ class _Reader:
         self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
         self.counts: dict[str, int] = {}  # count field -> count
         self.texts: dict[str, int] = {}  # ranking text -> its code, (1 << first) - (1 << second) of its ids
-        self.known_misses = self.count_misses = self.text_misses = 0  # lines in a row that missed
+        self.known_misses = 0  # lines in a row that missed known
         self.bits: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> 1 << id
         self.pairs: dict[int, tuple[int, int]] = {}  # code -> top pair
 
@@ -197,8 +195,8 @@ class _Reader:
         by token; any other goes through exact_ids(), which raises for a
         malformed text and gives its ids, or None to drop the line. The ids
         of a text are cached, so a later line with the same text skips both
-        and shares one tuple; the cache stops growing after _CACHE_MISSES
-        misses in a row."""
+        and shares one tuple; the cache stops growing after _CACHE_LIMIT
+        misses in a row, and starts again at the next hit."""
         m, tokens, known, counts, sep = self.m, self.tokens, self.known, self.counts, self.sep
         votes, known_misses = self.votes, self.known_misses
         line_no = self.line_no
@@ -212,11 +210,7 @@ class _Reader:
             count_part, colon, text = line.partition(":")
             if not colon:
                 raise ProfileSyntaxError(f"expected '<count>: {self.form}'", line=line_no, column=1)
-            count = counts.get(count_part)
-            if count is None:
-                count = self.read_count(count_part, raw, line_no)
-            else:
-                self.count_misses = 0
+            count = counts.get(count_part) or self.read_count(count_part, raw, line_no)  # counts are >= 1
             self.row_no += 1  # on the reader, where both hooks read it
             ids = known.get(text)
             if ids is None:
@@ -232,7 +226,7 @@ class _Reader:
                     ids = self.exact_ids(text, line_no)
                     if ids is None:
                         continue
-                if known_misses < _CACHE_MISSES:
+                if known_misses < _CACHE_LIMIT:
                     known[text] = ids
                 known_misses += 1
             else:
@@ -254,8 +248,8 @@ class _Reader:
     def read_count(self, field: str, raw: str, line_no: int) -> int:
         """The count of a count field that missed the cache: a positive
         integer of at most MAX_DIGITS ASCII digits, maybe with whitespace
-        around it. The cache takes it until _CACHE_MISSES fields in a row
-        missed it."""
+        around it. The cache takes it while it holds fewer than _CACHE_LIMIT
+        fields."""
         digits = field.strip()
         count = _decimal(digits) if digits.isascii() and digits.isdigit() else 0
         if not count:
@@ -263,9 +257,8 @@ class _Reader:
                 f"has more than {MAX_DIGITS} digits" if count is None else f"must be a positive integer, got {digits!r}"
             )
             raise ProfileSyntaxError(f"{self.noun} {fault}", line=line_no, column=self.count_column(raw, digits))
-        if self.count_misses < _CACHE_MISSES:
+        if len(self.counts) < _CACHE_LIMIT:
             self.counts[field] = count
-        self.count_misses += 1
         return count
 
     def batch(self, lines: list[str]) -> set[tuple[int, int]] | None:
@@ -282,17 +275,16 @@ class _Reader:
           split at ':' into count fields, texts and markers in turn when
           every line holds exactly one ':', which the k markers at every
           third place show; else each line is partitioned at its first ':';
-        - each text is in the bounded cache of texts seen valid, or is m
+        - each text is in the cache of texts seen valid, or is m
           tokens joined by sep, each in the token map (maybe after one
           space, as after ':' or after sep), with m distinct ids (see
           _codes()).
 
         No count field it takes starts with whitespace and no token ends
         with it, so a line with surrounding whitespace is never vouched for.
-        Once the text cache has stopped growing, a list that gets no hit
-        from it goes to _codes() whole, with no dedupe: the cache and its
-        miss count come out as they would after the dedupe. lines() alone
-        raises and records violations."""
+        The text cache takes a list's misses while it holds fewer than
+        _CACHE_LIMIT texts, or when the list had a hit. lines() alone raises
+        and records violations."""
         m, k = self.m, len(lines)
         if not self.bits:
             if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
@@ -323,25 +315,13 @@ class _Reader:
             if not all(counts):
                 return None
         codes = list(map(self.texts.get, texts))  # no code is 0: the top two ids differ
-        if all(codes):
-            self.text_misses = 0
-        elif self.text_misses >= _CACHE_MISSES and not any(codes):
-            # the cache has stopped growing and takes none of these texts
-            codes = self._codes(texts)
-            if codes is None:
-                return None
-            self.text_misses += k
-        else:
-            new = list(dict.fromkeys(compress(texts, map(not_, codes))))
+        if not all(codes):
+            new = list(compress(texts, map(not_, codes)))
             new_codes = self._codes(new)
             if new_codes is None:
                 return None
-            # the cache takes new texts until _CACHE_MISSES lines in a row missed it
-            room = _CACHE_MISSES - self.text_misses
-            if room > 0:
-                self.texts.update(zip(new[:room], new_codes))
-            after_hit = next(compress(range(k), reversed(codes)), None)  # misses since the last hit
-            self.text_misses = self.text_misses + k if after_hit is None else after_hit
+            if len(self.texts) < _CACHE_LIMIT or any(codes):
+                self.texts.update(zip(new, new_codes))
             codes += new_codes
         found = set(codes)
         found.discard(None)

@@ -133,8 +133,12 @@ BATCH_CHUNKS = [64, 4096, profiles._CHUNK_BYTES]
 def _clean(fmt: str, m: int, lines: int, seed: int) -> tuple[list[str], list[str]]:
     """The head lines and the ranking lines of a valid profile over m candidates."""
     rng = random.Random(seed)
+    return _written(fmt, m, [(rng.sample(range(m), m), rng.choice((1, 1, 2, 3))) for _ in range(lines)])
+
+
+def _written(fmt: str, m: int, votes: list[tuple[list[int], int]]) -> tuple[list[str], list[str]]:
+    """The head lines and the ranking lines of these (order, count) votes."""
     names = "abcd"[:m] if m <= 4 else [f"c{i}" for i in range(m)]
-    votes = [(rng.sample(range(m), m), rng.choice((1, 1, 2, 3))) for _ in range(lines)]
     if fmt == "native":
         head = ["candidates: " + ", ".join(names) + "\n"]
         body = [f"{mult}: " + " > ".join(names[c] for c in order) + "\n" for order, mult in votes]
@@ -315,84 +319,60 @@ def test_edge_lines_past_the_header_match_parser(monkeypatch, fmt, head, clean, 
     assert_scan_matches(monkeypatch, fmt, _around(head, clean, edge), BATCH_CHUNKS)
 
 
-def _cached_texts(monkeypatch, lines: list[str]) -> list[str]:
-    """The batch text cache of the reader that scanned the native profile
-    of these lines, with caches that stop growing after 100 misses in a
-    row, and lists cut every 1,000 lines."""
-    monkeypatch.setattr(profiles, "_CACHE_MISSES", 100)
-    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 22)  # one list of lines, cut every 1,000
-    data = ("\n".join(lines) + "\n").encode()
-    want = expected("native", data)
+def _readers(monkeypatch) -> list:
+    """Every reader made from now on, in the order they are made."""
     readers = []
-    init = profiles._NativeReader.__init__
+    init = profiles._Reader.__init__
 
     def kept(reader):
         readers.append(reader)
         init(reader)
 
-    monkeypatch.setattr(profiles._NativeReader, "__init__", kept)
+    monkeypatch.setattr(profiles._Reader, "__init__", kept)
+    return readers
+
+
+def _cached_texts(monkeypatch, lines: list[str]) -> list[str]:
+    """The batch text cache of the reader that scanned the native profile
+    of these lines, with caches limited to 100, and lists cut every
+    _BATCH_LINES lines."""
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 100)
+    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 22)  # one list of lines, cut every _BATCH_LINES
+    data = ("\n".join(lines) + "\n").encode()
+    want = expected("native", data)
+    readers = _readers(monkeypatch)
     assert scanned("native", data) == want
     (reader,) = readers
     return list(reader.texts)
 
 
-def test_text_cache_stops_growing_after_lines_missed_in_a_row(monkeypatch):
-    header, *rankings = _no_repeat_profile(5000).decode().splitlines()
-    # The line loop reads the header and 999 rankings. The next 1,000 lines
-    # miss, and the first 100 of them are cached; the 1,000 after that miss
-    # too, and none is. A hit on the last of the next 1,000 lets the cache
-    # grow again, by 100 in the next 1,000 and by none in the last line.
-    lines = [header, *rankings[:3998], rankings[999], *rankings[3998:4999]]
-    cached = rankings[999:1099] + rankings[3998:4098]
+def test_text_cache_stops_growing_at_its_limit(monkeypatch):
+    monkeypatch.setattr(profiles, "_BATCH_LINES", 60)
+    header, *rankings = _no_repeat_profile(1000).decode().splitlines()
+    # The line loop reads the header and 59 rankings. The cache holds fewer
+    # than 100 texts before each of the next two lists of 60, which all
+    # miss, so it takes both; then it holds 120 and takes none of the other
+    # lists, which all miss too.
+    cached = _cached_texts(monkeypatch, [header, *rankings])
+    assert cached == [line.partition(":")[2] for line in rankings[59:179]]
+    assert len(cached) <= 100 + 60 - 1
+
+
+def test_text_cache_past_its_limit_takes_the_misses_of_a_list_with_a_hit(monkeypatch):
+    header, *rankings = _no_repeat_profile(4000).decode().splitlines()
+    # The line loop reads the header and 999 rankings, and the cache takes
+    # the next 1,000, which all miss. Past its limit, it takes the 999
+    # misses of the next list, which has one hit in the middle, and none of
+    # the 1,000 lines after that, which all miss (nor of the last line,
+    # which scan_profile reads as a list of its own).
+    hit_list = [*rankings[1999:2498], rankings[999], *rankings[2498:2998]]
+    lines = [header, *rankings[:1999], *hit_list, *rankings[2998:3999]]
+    cached = rankings[999:2998]
     assert _cached_texts(monkeypatch, lines) == [line.partition(":")[2] for line in cached]
-
-
-def test_text_cache_grows_again_after_a_list_of_hits(monkeypatch):
-    header, *rankings = _no_repeat_profile(3000).decode().splitlines()
-    # The line loop reads the header and 999 rankings. Of the next 1,000
-    # lines, which all miss, the first 100 are cached. The 1,000 after that
-    # all hit, which clears the misses, so the cache takes the first 100 of
-    # the next 999 lines that miss, and none of the last line.
-    hits = [rankings[999 + k % 100] for k in range(1000)]
-    lines = [header, *rankings[:1999], *hits, *rankings[1999:]]
-    cached = rankings[999:1099] + rankings[1999:2099]
-    assert _cached_texts(monkeypatch, lines) == [line.partition(":")[2] for line in cached]
-
-
-def test_text_cache_that_stopped_growing_is_not_deduped(monkeypatch):
-    header, *rankings = _no_repeat_profile(2000).decode().splitlines()
-    # The line loop reads the header and 999 rankings, and the first 100 of
-    # the next 1,000, which all miss, are cached. The last 1,000 lines repeat
-    # five texts past those 100, with counts up to 3: none hits, and all go
-    # to _codes() as they are.
-    texts = [line.partition(":")[2] for line in rankings[1500:1505]]
-    repeats = [f"{1 + k % 3}:{texts[k % 5]}" for k in range(1000)]
-    codes, snapshots = [], []
-    batch, find = profiles._Reader.batch, profiles._Reader._codes
-
-    def spy_batch(self, lines):
-        before = dict(self.texts)
-        found = batch(self, lines)
-        snapshots.append((before, dict(self.texts), found))
-        return found
-
-    def spy_codes(self, texts):
-        codes.append(len(texts))
-        return find(self, texts)
-
-    monkeypatch.setattr(profiles._Reader, "batch", spy_batch)
-    monkeypatch.setattr(profiles._Reader, "_codes", spy_codes)
-    cached = _cached_texts(monkeypatch, [header, *rankings[:1999], *repeats])  # vote total and top pairs
-    assert cached == [line.partition(":")[2] for line in rankings[999:1099]]
-    # scan_profile reads the last line again with the chunk after it, so the
-    # last 1,000 lines come as a list of 999 and a list of one
-    assert codes == [1000, 999, 1]
-    for before, after, found in snapshots[-2:]:
-        assert found is not None and before == after
 
 
 def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
-    monkeypatch.setattr(profiles, "_CACHE_MISSES", 2)
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 2)
     calls = []
     resolve = profiles.resolve_ranking
     monkeypatch.setattr(profiles, "resolve_ranking", lambda *args: calls.append(args[0]) or resolve(*args))
@@ -405,34 +385,68 @@ def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "parse, head, ranking, header_calls",
-    [
-        (parse_native, "candidates: a\n", "a", []),
-        (parse_preflib_soc, "# NUMBER ALTERNATIVES: 1\n", "1", ["1"]),  # read with _decimal too
-    ],
+    "parse, head, ranking",
+    [(parse_native, "candidates: a\n", "a"), (parse_preflib_soc, "# NUMBER ALTERNATIVES: 1\n", "1")],
 )
-def test_count_cache_stops_growing_after_misses_in_a_row(monkeypatch, parse, head, ranking, header_calls):
-    monkeypatch.setattr(profiles, "_CACHE_MISSES", 2)
-    calls = []
-    decimal = profiles._decimal
-    monkeypatch.setattr(profiles, "_decimal", lambda digits: calls.append(digits) or decimal(digits))
-    counts = ["1", "2", "3", "1", "3", "3", "1"]
+def test_count_cache_holds_at_most_its_limit(monkeypatch, parse, head, ranking):
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 100)
+    readers = _readers(monkeypatch)
+    # No count field repeats but one: its hit, past the limit, lets no
+    # later field in.
+    counts = [*range(1, 201), 1, *range(201, 301)]
     e = parse(head + "".join(f"{count}: {ranking}\n" for count in counts))
-    assert calls == header_calls + ["1", "2", "3", "3"]
-    assert e.n == 14
+    (reader,) = readers
+    assert list(reader.counts) == [str(count) for count in range(1, 101)]
+    assert e.n == sum(counts)
 
 
-def _no_repeat_profile(lines: int) -> bytes:
-    """lines distinct rankings of 12 candidates, no ranking text twice."""
-    names = [f"c{i}" for i in range(12)]
-    out = ["candidates: " + ", ".join(names)]
+def _no_repeat_votes(lines: int) -> list[tuple[list[int], int]]:
+    """lines distinct orders of 12 candidates, each with count 1."""
+    votes = []
     for k in range(lines):
         order, digits = list(range(12)), k
         for i in range(11, 0, -1):  # k's digits in the factorial base, as swaps
             digits, j = divmod(digits, i + 1)
             order[i], order[j] = order[j], order[i]
-        out.append("1: " + " > ".join(names[c] for c in order))
-    return ("\n".join(out) + "\n").encode()
+        votes.append((order, 1))
+    return votes
+
+
+def _no_repeat_profile(lines: int) -> bytes:
+    """lines distinct rankings of 12 candidates, no ranking text twice."""
+    head, body = _written("native", 12, _no_repeat_votes(lines))
+    return "".join(head + body).encode()
+
+
+def _cache_profile(fmt: str, kind: str) -> bytes:
+    """A valid profile of 3,000 ranking lines whose texts or counts repeat
+    or not, as kind says."""
+    rng = random.Random(20)
+    if kind == "repeating_m4":  # 24 orders
+        votes = [(rng.sample(range(4), 4), rng.choice((1, 2, 3))) for _ in range(3000)]
+    elif kind == "repeating_m8":  # 300 orders, each about 10 times
+        pool = [rng.sample(range(8), 8) for _ in range(300)]
+        votes = [(rng.choice(pool), rng.choice((1, 2, 3))) for _ in range(3000)]
+    elif kind == "never_repeating":
+        votes = _no_repeat_votes(3000)
+    else:  # weighted: no count twice, over 120 orders
+        votes = [(rng.sample(range(5), 5), k + 1) for k in range(3000)]
+    head, body = _written(fmt, len(votes[0][0]), votes)
+    return "".join(head + body).encode()
+
+
+@pytest.mark.parametrize("kind", ["repeating_m4", "repeating_m8", "never_repeating", "weighted"])
+@pytest.mark.parametrize("fmt", ["native", "soc"])
+@pytest.mark.parametrize("limit", [1, 7, 100, profiles._CACHE_LIMIT])
+def test_results_never_depend_on_the_cache_state(monkeypatch, limit, fmt, kind):
+    data = _cache_profile(fmt, kind)
+    want = expected(fmt, data)  # with the default limit
+    assert want[0] == "ok"
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", limit)
+    assert expected(fmt, data) == want
+    for size in BATCH_CHUNKS:
+        monkeypatch.setattr(profiles, "_CHUNK_BYTES", size)
+        assert scanned(fmt, data) == want, f"chunk size {size}"
 
 
 def _traced_peak(fn) -> int:
@@ -448,7 +462,7 @@ def test_scan_memory_is_bounded_by_chunks_not_file_size(tmp_path, monkeypatch):
     # Chunk and cache are scaled down with the file: tracemalloc makes each
     # allocation about 20 times slower, so a file of realistic size is slow.
     monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
-    monkeypatch.setattr(profiles, "_CACHE_MISSES", 256)
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 256)
     path = tmp_path / "big.profile"
     path.write_bytes(_no_repeat_profile(5_000))
 
