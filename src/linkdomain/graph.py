@@ -8,10 +8,10 @@ equivalent of any external definition. Linkedness of an election depends
 only on this graph, so everything downstream consumes it.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, lt, sub
+from operator import eq, sub
 from typing import Iterable
 
 from .errors import TooFewCandidates
@@ -32,7 +32,11 @@ class ConnectivityGraph:
     adjacency is in CSR form: row v of `indices` is
     indices[indptr[v]:indptr[v + 1]], ascending and free of duplicates, and
     the rows are symmetric. The seed lists `seed_u` and `seed_v` hold each
-    edge's lower and higher end, in ascending edge order. csr_arrays() and
+    edge's lower and higher end, in ascending edge order: each row u is cut
+    where u would go, and the entries above the cut, row by row, are the
+    edges (u, w) with u < w. An edge given more than once shows on the
+    seed lists as a seed equal to the one before it, and only then are the
+    rows rebuilt without repeats and cut again. csr_arrays() and
     seed_arrays() return the stored tuples; neighbors(), degree() and
     has_edge() read the rows. `edges`, the pairs (u, v) with u < v in
     ascending order, is built from the seed lists on first access and kept.
@@ -55,32 +59,23 @@ class ConnectivityGraph:
             rows[v].append(u)
         for row in rows:
             row.sort()
-        indptr = tuple(accumulate(map(len, rows), initial=0))
-        indices = tuple(chain.from_iterable(rows))
-        # An entry equal to the one before it repeats an edge, unless it
-        # starts a row (row v ends where row v + 1 starts). Only the rows
-        # holding a true repeat are rebuilt.
-        repeated = set()
-        for i in compress(count(1), map(eq, indices, islice(indices, 1, None))):
-            v = bisect_right(indptr, i) - 1  # the row holding entry i
-            if indptr[v] != i:
-                repeated.add(v)
-        if repeated:
-            for v in repeated:
-                rows[v] = sorted(set(rows[v]))
-            indptr = tuple(accumulate(map(len, rows), initial=0))
-            indices = tuple(chain.from_iterable(rows))
+        indptr, indices = _flat(rows)
         del rows
+        seed_u, seed_v = _seeds(m, indptr, indices)
+        # Copies of an edge (u, w) sit next to each other in row u above the
+        # cut, so a repeat is a seed whose two ends both equal the previous
+        # seed's. Otherwise two neighbouring seeds share a higher end only
+        # across a row boundary, at most once per row, so the lower ends
+        # are compared only where the higher ends are equal.
+        if any(seed_u[i] == seed_u[i - 1] for i in compress(count(1), map(eq, seed_v, islice(seed_v, 1, None)))):
+            indptr, indices = _flat([list(dict.fromkeys(indices[a:b])) for a, b in zip(indptr, islice(indptr, 1, None))])
+            seed_u, seed_v = _seeds(m, indptr, indices)
         self.m = m
         self.mode = mode
         self._indptr = indptr
         self._indices = indices
-        # Rows are ascending, so the entries w > u of row u, taken row by
-        # row, are the edges in ascending order.
-        owners = list(chain.from_iterable(map(repeat, range(m), map(sub, indptr[1:], indptr))))
-        upper = bytes(map(lt, owners, indices))
-        self._seed_u: tuple[int, ...] = tuple(compress(owners, upper))
-        self._seed_v: tuple[int, ...] = tuple(compress(indices, upper))
+        self._seed_u: tuple[int, ...] = seed_u
+        self._seed_v: tuple[int, ...] = seed_v
         self._edges: tuple[Edge, ...] | None = None
 
     @property
@@ -132,6 +127,23 @@ class ConnectivityGraph:
         return f"ConnectivityGraph(m={self.m}, edges={len(self._seed_u)}{mode})"
 
 
+def _flat(rows: list) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(indptr, indices): the rows laid end to end, and where each starts."""
+    return tuple(accumulate(map(len, rows), initial=0)), tuple(chain.from_iterable(rows))
+
+
+def _seeds(m: int, indptr: tuple[int, ...], indices: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(seed_u, seed_v): each ascending row u cut where u would go, and the
+    suffixes above the cuts chained, with u repeated once per entry. Only
+    the per-row counts are kept, mostly small ints that CPython shares,
+    rather than m absolute cut positions."""
+    ends = indptr[1:]
+    counts = list(map(sub, ends, map(bisect_left, repeat(indices), range(m), indptr, ends)))
+    seed_u = tuple(chain.from_iterable(map(repeat, range(m), counts)))
+    seed_v = tuple(chain.from_iterable(map(indices.__getitem__, map(slice, map(sub, ends, counts), ends))))
+    return seed_u, seed_v
+
+
 def top_pair_set(election: Election) -> frozenset[tuple[int, int]]:
     """Ordered (first, second) pairs occurring in some vote; multiplicities collapse."""
     if election.m < 2:
@@ -149,10 +161,12 @@ def build_graph(profile: Election | ProfileScan, mode: Mode = Mode.STRONG) -> Co
     and multiplicities never matter, and a ProfileScan serves as well as an
     Election. O(n + m^2) regardless of how many votes there are. A
     one-candidate election has no top pairs and gives the one-vertex graph.
+    Each edge is passed to the constructor once, so it never has to rebuild
+    its rows for a pair seen in both orders.
     """
     pairs = profile.top_pairs
     if mode is Mode.STRONG:
         edges = [(a, b) for a, b in pairs if a < b and (b, a) in pairs]
     else:
-        edges = [(min(a, b), max(a, b)) for a, b in pairs]
+        edges = {(min(a, b), max(a, b)) for a, b in pairs}
     return ConnectivityGraph(profile.m, edges, mode)

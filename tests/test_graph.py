@@ -1,8 +1,11 @@
 import tracemalloc
+from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+import linkdomain.graph
 
 from linkdomain import (
     ConnectivityGraph,
@@ -21,6 +24,44 @@ from strategies import elections, graphs
 
 def make(m, votes):
     return election_from_ids([(v, 1) for v in votes], m)
+
+
+def reference_arrays(m, edges):
+    """(indptr, indices) and (seed_u, seed_v) built the plain way, from sorted({(min, max)})."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    rows = [sorted([w for u, w in pairs if u == v] + [u for u, w in pairs if w == v]) for v in range(m)]
+    indptr = tuple(sum(map(len, rows[:v])) for v in range(m + 1))
+    indices = tuple(w for row in rows for w in row)
+    return (indptr, indices), (tuple(u for u, _ in pairs), tuple(w for _, w in pairs))
+
+
+@st.composite
+def edge_lists(draw):
+    """(m, edges) with m in 1..8: pairs in either orientation, each possibly
+    given again the other way round or more than once, in any order; with
+    few edges some vertices are left isolated."""
+    m = draw(st.integers(1, 8))
+    if m == 1:
+        return m, []
+    edges = draw(st.lists(st.sampled_from(list(permutations(range(m), 2))), max_size=2 * m))
+    if edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=len(edges)))]
+    return m, draw(st.permutations(edges))
+
+
+@pytest.fixture
+def flat_calls(monkeypatch):
+    """Counts the constructor's row layouts: one, plus one more when it
+    rebuilds the rows without repeated edges."""
+    calls = []
+    flat = linkdomain.graph._flat
+
+    def counted(rows):
+        calls.append(len(rows))
+        return flat(rows)
+
+    monkeypatch.setattr(linkdomain.graph, "_flat", counted)
+    return calls
 
 
 class TestTopPairSet:
@@ -53,6 +94,13 @@ class TestBuildGraph:
     def test_weak_single_witness_suffices(self):
         e = make(3, [(0, 1, 2), (2, 1, 0)])
         assert build_graph(e, Mode.WEAK).edges == ((0, 1), (1, 2))
+
+    def test_weak_passes_each_edge_once(self, flat_calls):
+        # Both pairs are top pairs in both orders; each edge still reaches
+        # the constructor once, so its rows are never rebuilt.
+        e = make(3, [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)])
+        assert build_graph(e, Mode.WEAK).edges == ((0, 1), (1, 2))
+        assert flat_calls == [3]
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_single_candidate_gives_one_vertex(self, mode):
@@ -122,6 +170,50 @@ class TestConnectivityGraph:
         assert g.csr_arrays() == ((0, 1, 2, 4), (2, 2, 0, 1))
         assert g.seed_arrays() == ((0, 1), (2, 2))
         assert g == ConnectivityGraph(3, [(0, 2), (1, 2)])
+
+    @given(edge_lists())
+    @example((1, []))
+    @example((2, [(1, 0)]))
+    @example((2, [(1, 0), (0, 1), (1, 0)]))
+    @example((6, [(0, 5), (1, 5), (1, 5)]))
+    def test_arrays_match_a_naive_reference(self, case):
+        m, edges = case
+        g = ConnectivityGraph(m, edges)
+        assert (g.csr_arrays(), g.seed_arrays()) == reference_arrays(m, edges)
+
+    def test_repeat_check_compares_lower_ends(self, flat_calls):
+        # Seeds (0, 5), (1, 5), (1, 5): the first two share a higher end
+        # but not a lower one, so only the third seed is a repeat.
+        g = ConnectivityGraph(6, [(0, 5), (1, 5), (1, 5)])
+        assert g.csr_arrays() == ((0, 1, 2, 2, 2, 2, 4), (5, 5, 0, 1))
+        assert g.seed_arrays() == ((0, 1), (5, 5))
+        assert flat_calls == [6, 6]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 5), (1, 5)],  # equal higher ends in neighbouring rows
+            [(0, 2), (1, 2), (1, 3)],  # row 0 ends with 2 and row 1 starts with 2
+            [(0, 1), (1, 2), (2, 3)],
+        ],
+    )
+    def test_rows_built_once_without_a_repeated_edge(self, flat_calls, edges):
+        g = ConnectivityGraph(6, edges)
+        assert (g.csr_arrays(), g.seed_arrays()) == reference_arrays(6, edges)
+        assert flat_calls == [6]
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (0, 1), (2, 2), (0, 9)], r"self-loop at vertex 2"),
+            ([(0, 1), (1, 0), (0, 9), (2, 2)], r"edge \(0, 9\) outside 0\.\.2"),
+            ([(2, 1), (-1, 1), (1, 1)], r"edge \(-1, 1\) outside 0\.\.2"),
+            ([(3, 3), (0, 3)], r"self-loop at vertex 3"),
+        ],
+    )
+    def test_first_bad_edge_in_input_order_names_the_error(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            ConnectivityGraph(3, edges)
 
     def test_edges_built_once(self):
         g = ConnectivityGraph(3, [(1, 2), (0, 1)])
@@ -206,6 +298,23 @@ class TestConnectivityGraph:
             tracemalloc.stop()
         assert result.linked
         assert peak <= 1_150_000
+
+    def test_memory_peak_of_building_a_dense_graph(self):
+        # Traced bytes allocated while building K_{100,100} (10,000 edges).
+        # On CPython 3.11 the build that cuts each sorted row at its owner
+        # peaks at 383,936; the limit adds a 7 % margin. The build that
+        # made an owner list and flags over all 2|E| adjacency entries
+        # peaked at 546,361. Catches a list or copy the size of the
+        # adjacency alive next to the sorted rows.
+        edges = [(u, w) for u in range(100) for w in range(100, 200)]
+        tracemalloc.start()
+        try:
+            g = ConnectivityGraph(200, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.seed_arrays()[0]) == 10_000
+        assert peak <= 411_000
 
 
 class TestExportDot:
