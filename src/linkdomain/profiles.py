@@ -21,9 +21,10 @@ parse_native and parse_preflib_soc return the whole Election, read by one
 line loop for both formats (lines()). A format gives the loop only two
 steps: how it reads a line that is not a ranking line (comments, the
 header, metadata), and how it reads a ranking that is not written plainly.
-scan_profile reads a profile file in chunks and keeps only what the
-connectivity graph needs, so `check` runs in memory bounded by the
-candidate count rather than the file size. The reader checks the lines a
+scan_profile reads a profile file in chunks, each cut after its last line
+break of one kind (_line_lists()), and keeps only what the connectivity
+graph needs, so `check` runs in memory bounded by the candidate count
+rather than the file size. The reader checks the lines a
 list at a time with C-level built-ins over whole lists (batch()): a join
 with a "\n" marker after each line and a split at ':' give the count fields,
 ranking texts and markers in turn, and a join with a marker after each text
@@ -37,13 +38,11 @@ every failure a line number. Graph files, and writing profiles, are in
 graphio.
 """
 
-import codecs
-import io
 import re
 import unicodedata
 from itertools import compress, repeat
 from operator import itemgetter, not_, sub
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 from .errors import (
     InconsistentMetadata,
@@ -84,52 +83,50 @@ def _invalid_utf8(exc: UnicodeDecodeError, newlines: int) -> ProfileSyntaxError:
     return ProfileSyntaxError(f"invalid UTF-8 ({exc.reason})", line=line)
 
 
-def _read_text(file: BinaryIO) -> Iterator[str]:
-    """The UTF-8 text of a binary file, _CHUNK_BYTES bytes at a time. Invalid
-    UTF-8 fails with the line _decode gives for the whole file."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = 0  # in the bytes decoded so far; a partial character holds none
+# The line breaks str.splitlines() knows, in UTF-8, each with the end of the
+# part of a chunk searched for it: a '\r' that ends a chunk may start
+# '\r\n', so it is not a cut.
+_BREAKS = [(b"\n", None), (b"\r", -1)] + [(c.encode(), None) for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+
+
+def _cut(chunk: bytes) -> int:
+    """The length of the chunk up to its last break of the first kind in
+    _BREAKS that it holds, that break included, or 0 for none."""
+    for brk, end in _BREAKS:
+        at = chunk.rfind(brk, 0, end)
+        if at >= 0:
+            return at + len(brk)
+    return 0
+
+
+def _line_lists(file: BinaryIO) -> Iterator[list[str]]:
+    """The lines of a binary UTF-8 file, as str.splitlines() gives them for
+    the whole text, in lists of at most _BATCH_LINES. The file is read
+    _CHUNK_BYTES at a time and cut where _cut() says. Every break is one
+    ASCII byte or a whole character, so the bytes up to a cut decode and
+    split on their own. A chunk without a break is held, so a line longer
+    than a chunk costs linear time. Invalid UTF-8 fails with the line
+    _decode gives for the whole file."""
+    held: list[bytes] = []  # the bytes read since the last cut
+    newlines = 0  # line feeds before them
     while True:
         data = file.read(_CHUNK_BYTES)
+        cut = _cut(data)
+        if data and not cut:  # no break: the line goes on in the next chunk
+            held.append(data)
+            continue
+        held.append(data[:cut])
+        piece = b"".join(held)
+        held = [data[cut:]]
         try:
-            text = decoder.decode(data, final=not data)
+            lines = piece.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
-            # exc.object is the partial character carried over, then data
             raise _invalid_utf8(exc, newlines) from None
-        yield text
+        newlines += piece.count(b"\n")
+        for start in range(0, len(lines), _BATCH_LINES):
+            yield lines[start:start + _BATCH_LINES]
         if not data:
             return
-        newlines += data.count(b"\n")
-
-
-def _line_batches(chunks: Iterable[str]) -> Iterator[list[str]]:
-    """The lines of the concatenated chunks, as str.splitlines() gives them,
-    in one list per chunk that holds a line break. The last line, with its
-    ending, is read again with the next such chunk: it may go on there, or
-    end in a '\r' that the next chunk's '\n' completes. Chunks without a
-    break only gather, so a line longer than a chunk costs linear time."""
-    unfinished: list[str] = []
-    for chunk in chunks:
-        unfinished.append(chunk)
-        last = _last_line(chunk)
-        if not chunk or (len(last) == len(chunk) and last.splitlines() == [last]):
-            continue  # no line break in the chunk
-        text = "".join(unfinished)
-        lines = text.splitlines()
-        unfinished = [_last_line(text)]
-        lines.pop()
-        yield lines
-    yield "".join(unfinished).splitlines()
-
-
-def _last_line(text: str) -> str:
-    """The last line of text with its line ending, found from a short tail."""
-    size = 256
-    while True:
-        pieces = text[-size:].splitlines(keepends=True)
-        if len(pieces) > 1 or size >= len(text):
-            return pieces[-1] if pieces else ""
-        size *= 4
 
 
 def _decimal(digits: str) -> int | None:
@@ -181,12 +178,6 @@ class _Reader:
         self.known_misses = 0  # lines in a row that missed known
         self.bits: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> 1 << id
         self.pairs: dict[int, tuple[int, int]] = {}  # code -> top pair
-
-    def rows(self, chunks: Iterable[str]) -> Iterator[tuple[Vote, int]]:
-        """The rows of every line of the concatenated chunks, then finish()."""
-        for lines in _line_batches(chunks):
-            yield from self.lines(lines)
-        self.finish()
 
     def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
         """Each non-blank line that other_line() does not take is a ranking
@@ -397,7 +388,8 @@ class _NativeReader(_Reader):
 def parse_native(text: str | bytes) -> Election:
     """Parse the native profile format into a validated Election."""
     reader = _NativeReader()
-    votes = list(reader.rows([_decode(text)]))
+    votes = list(reader.lines(_decode(text).splitlines()))
+    reader.finish()
     return make_election(reader.names, votes, reader.violations)
 
 
@@ -515,7 +507,8 @@ def parse_preflib_soc(text: str | bytes) -> Election:
     or a name declared after a data line that used the id's default name.
     """
     reader = _SocReader()
-    rows = list(reader.rows([_decode(text)]))
+    rows = list(reader.lines(_decode(text).splitlines()))
+    reader.finish()
     if not reader.replay:
         # Every line named alternative a by names[a - 1], and the names are
         # distinct: each permutation resolves to itself.
@@ -541,46 +534,57 @@ def scan_profile(
 ) -> ProfileScan:
     """What `check` needs of a profile in the given format ("native" or
     "soc"): its names, vote total and top pairs, read from a binary file
-    _CHUNK_BYTES at a time.
+    _CHUNK_BYTES at a time, each chunk cut after a line break.
 
-    The lines are taken in lists of up to _BATCH_LINES. Once the header (or
-    NUMBER ALTERNATIVES) is read, with 2 to _BATCH_MAX_M candidates, a list
-    of plainly written valid rankings gives its top pairs, and the reader
-    its vote total, through the reader's batch() at once. Every other list goes through the line loop of
-    parse_native or parse_preflib_soc, which decides every error, so this
-    accepts exactly the profiles those accept, and fails on the others with
-    the same error. Memory is O(m^2) plus the ranking caches, one chunk and
-    the tokens of one list, not O(file size). A soc file whose rows
-    must be read again by name is read whole by parse_preflib_soc; a soc
-    file that cannot seek back for that, such as a pipe, is read whole first.
-    Any other fmt is a ValueError. check_m, if given, is called with the
-    candidate count as soon as the header or NUMBER ALTERNATIVES line gives
-    it, before any later line is checked, and may raise to stop the scan there.
+    The lines are taken in lists of up to _BATCH_LINES (_line_lists()).
+    Once the header (or NUMBER ALTERNATIVES) is read, with 2 to _BATCH_MAX_M
+    candidates, a list of plainly written valid rankings gives its top
+    pairs, and the reader its vote total, through the reader's batch() at
+    once. Every other list goes through the line loop of parse_native or
+    parse_preflib_soc, which decides every error, so this accepts exactly
+    the profiles those accept, and fails on the others with the same error.
+    Memory is O(m^2) plus the ranking caches, two chunks and the tokens of
+    one list, not O(file size). A soc file whose rows must be read again by
+    name is read whole by parse_preflib_soc; a soc file that cannot seek
+    back for that, such as a pipe, is first copied to a temporary file,
+    held in memory up to _CHUNK_BYTES. Any other fmt is a ValueError.
+    check_m, if given, is called with the candidate count as soon as the
+    header or NUMBER ALTERNATIVES line gives it, before any later line is
+    checked, and may raise to stop the scan there.
     """
     if fmt == "native":
-        reader, start = _NativeReader(), 0
-    elif fmt == "soc":
-        if not file.seekable():
-            file = io.BytesIO(file.read())
-        reader, start = _SocReader(), file.tell()
-    else:
+        return _scan(file, _NativeReader(), check_m, 0)
+    if fmt != "soc":
         raise ValueError(f"unknown profile format {fmt!r}: expected 'native' or 'soc'")
+    if file.seekable():
+        return _scan(file, _SocReader(), check_m, file.tell())
+    import shutil  # here, so that a check of a file loads neither
+    import tempfile
+
+    with tempfile.SpooledTemporaryFile(_CHUNK_BYTES) as spool:
+        shutil.copyfileobj(file, spool, _CHUNK_BYTES)
+        spool.seek(0)
+        return _scan(spool, _SocReader(), check_m, 0)
+
+
+def _scan(
+    file: BinaryIO, reader: _Reader, check_m: Callable[[int], object] | None, start: int
+) -> ProfileScan:
+    """scan_profile() with the reader of the file's format; a soc file is
+    read again from start if its rows must be read by name."""
     reader.check_m = check_m
     tops: set[tuple[int, ...]] = set()
-    chunks = _read_text(file)
+    lists = _line_lists(file)
     try:
-        for batch in _line_batches(chunks):
-            for start_line in range(0, len(batch), _BATCH_LINES):
-                lines = batch[start_line:start_line + _BATCH_LINES]
-                found = reader.batch(lines)
-                if found is None:
-                    for ids, _ in reader.lines(lines):
-                        tops.add(ids[:2])
-                else:
-                    tops |= found
+        for lines in lists:
+            found = reader.batch(lines)
+            if found is None:
+                tops.update(ids[:2] for ids, _ in reader.lines(lines))
+            else:
+                tops |= found
         reader.finish()
     except ProfileError:
-        for _ in chunks:  # invalid UTF-8 anywhere fails first, as it does in parse_*
+        for _ in lists:  # invalid UTF-8 anywhere fails first, as it does in parse_*
             pass
         raise
     if reader.replay:

@@ -7,6 +7,7 @@ import io
 import os
 import random
 import re
+import tempfile
 import tracemalloc
 
 import pytest
@@ -85,6 +86,17 @@ BOUNDARIES = [
     ("native", b"candidates: a, b\n1 a > b\n1: b > a\n\xe2\x82\n"),
     ("native", b"1: a > b\n\n\n\xe2A"),
     ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,3\n1: 2,1\n\xf0\x90\x80"),
+    # a file whose only line breaks are one of the rarer kinds
+    ("native", b"candidates: a, b\v1: a > b\v\v2: b > a\v1 a > b\v"),
+    ("soc", b"# NUMBER ALTERNATIVES: 2\x1e1: 1,2\x1e\x1e1: 2,1\x1e1 2"),
+    ("native", "candidates: é, b\x851: é > b\x85\x852: b > é\x851 é > b\x85".encode("utf-8")),
+    ("soc", "# NUMBER ALTERNATIVES: 2\u20281: 1,2\u2028\u20281: 2,1\u20281 2\u2028".encode("utf-8")),
+    # a '\r' that ends a 4-byte chunk, and the '\n' that starts the next,
+    # are one line break: the error is on line 6, not 7
+    ("native", b"#\r#\r\ncandidates: a, b\r1: a > b\r\n\r\n1 a > b\r"),
+    # invalid UTF-8 right after a U+2028 break, and right before one
+    ("native", "candidates: a, b\u20281: a > b\u2028".encode("utf-8") + b"\xff" + "\u20281: b > a\n".encode("utf-8")),
+    ("native", "candidates: a, b\u2028".encode("utf-8") + b"1: a > b\xe2" + "\u2028\n".encode("utf-8")),
     # no trailing newline, and an empty file
     ("native", b"candidates: a, b\n1: a > b\n2: b > a"),
     ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,2"),
@@ -458,13 +470,15 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_scan_memory_is_bounded_by_chunks_not_file_size(tmp_path, monkeypatch):
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "\f", "\u2028"], ids=["LF", "CRLF", "CR", "FF", "LS"])
+def test_scan_memory_is_bounded_by_chunks_not_file_size(tmp_path, monkeypatch, ending):
     # Chunk and cache are scaled down with the file: tracemalloc makes each
     # allocation about 20 times slower, so a file of realistic size is slow.
+    # Every line break is a place to cut a chunk, so the bound holds for each.
     monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
     monkeypatch.setattr(profiles, "_CACHE_LIMIT", 256)
     path = tmp_path / "big.profile"
-    path.write_bytes(_no_repeat_profile(5_000))
+    path.write_bytes(_no_repeat_profile(5_000).replace(b"\n", ending.encode()))
 
     def scan():
         with open(path, "rb") as file:
@@ -475,6 +489,45 @@ def test_scan_memory_is_bounded_by_chunks_not_file_size(tmp_path, monkeypatch):
     parse_peak = _traced_peak(lambda: parse_native(path.read_bytes()))
     assert scan_peak < 2**19
     assert scan_peak < parse_peak / 4, (scan_peak, parse_peak)
+
+
+class _Pipe:
+    """A binary stream that cannot seek back, over bytes made before it is
+    read. As from a pipe, each read gives new bytes."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data, self.at = memoryview(data), 0
+
+    def seekable(self) -> bool:
+        return False
+
+    def read(self, size: int = -1) -> bytes:
+        start = self.at
+        self.at = len(self.data) if size < 0 else min(start + size, len(self.data))
+        return bytes(self.data[start:self.at])
+
+
+def test_a_soc_pipe_is_scanned_in_the_memory_of_its_file(tmp_path, monkeypatch):
+    # A soc file may have to be read again, so a pipe is copied to a
+    # temporary file, held in memory only up to one chunk.
+    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 256)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    head, body = _written("soc", 12, _no_repeat_votes(20_000))
+    data = "".join(head + body).encode()
+    path = tmp_path / "big.soc"
+    path.write_bytes(data)
+
+    def scan_file():
+        with open(path, "rb") as file:
+            assert scan_profile(file, "soc").n == 20_000
+
+    def scan_pipe():
+        assert scan_profile(_Pipe(data), "soc").n == 20_000
+
+    scan_pipe()  # first-call allocations, such as imports, are not the scan's
+    file_peak, pipe_peak = _traced_peak(scan_file), _traced_peak(scan_pipe)
+    assert pipe_peak < file_peak + 4 * profiles._CHUNK_BYTES < len(data), (pipe_peak, file_peak, len(data))
 
 
 @pytest.mark.parametrize(
