@@ -40,8 +40,13 @@ class ConnectivityGraph:
     seed_arrays() return the stored tuples; neighbors(), degree() and
     has_edge() read the rows. `edges`, the pairs (u, v) with u < v in
     ascending order, is built from the seed lists on first access and kept.
-    Equality compares the vertex count and the seed lists (mode is
-    provenance, not structure).
+    Vertex ids are stored as plain ints, one object per vertex made
+    together when the graph is built, and every tuple above refers to
+    those: the graph keeps none of the caller's objects, so input given as
+    bools or other int-like values comes back as plain ints, and a vertex
+    that ends many edges is read from one place in memory. Equality
+    compares the vertex count and the seed lists (mode is provenance, not
+    structure).
     """
 
     __slots__ = ("m", "mode", "_indptr", "_indices", "_seed_u", "_seed_v", "_edges")
@@ -49,19 +54,19 @@ class ConnectivityGraph:
     def __init__(self, m: int, edges: Iterable[Edge], mode: Mode | None = None):
         if m < 1:
             raise ValueError("graph needs at least one vertex")
+        ids = list(range(m))
         rows: list[list[int]] = [[] for _ in range(m)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < m and 0 <= v < m):
                 raise ValueError(f"edge ({u}, {v}) outside 0..{m - 1}")
-            rows[u].append(v)
-            rows[v].append(u)
-        for row in rows:
-            row.sort()
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+        any(map(list.sort, rows))  # any() only drives the sorts: list.sort returns None
         indptr, indices = _flat(rows)
         del rows
-        seed_u, seed_v = _seeds(m, indptr, indices)
+        seed_u, seed_v = _seeds(ids, indptr, indices)
         # Copies of an edge (u, w) sit next to each other in row u above the
         # cut, so a repeat is a seed whose two ends both equal the previous
         # seed's. Otherwise two neighbouring seeds share a higher end only
@@ -69,7 +74,7 @@ class ConnectivityGraph:
         # are compared only where the higher ends are equal.
         if any(seed_u[i] == seed_u[i - 1] for i in compress(count(1), map(eq, seed_v, islice(seed_v, 1, None)))):
             indptr, indices = _flat([list(dict.fromkeys(indices[a:b])) for a, b in zip(indptr, islice(indptr, 1, None))])
-            seed_u, seed_v = _seeds(m, indptr, indices)
+            seed_u, seed_v = _seeds(ids, indptr, indices)
         self.m = m
         self.mode = mode
         self._indptr = indptr
@@ -132,14 +137,15 @@ def _flat(rows: list) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(accumulate(map(len, rows), initial=0)), tuple(chain.from_iterable(rows))
 
 
-def _seeds(m: int, indptr: tuple[int, ...], indices: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _seeds(ids: list[int], indptr: tuple[int, ...], indices: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(seed_u, seed_v): each ascending row u cut where u would go, and the
-    suffixes above the cuts chained, with u repeated once per entry. Only
+    suffixes above the cuts chained, with u repeated once per entry; u is
+    taken from `ids`, the graph's one int object per vertex. Only
     the per-row counts are kept, mostly small ints that CPython shares,
     rather than m absolute cut positions."""
     ends = indptr[1:]
-    counts = list(map(sub, ends, map(bisect_left, repeat(indices), range(m), indptr, ends)))
-    seed_u = tuple(chain.from_iterable(map(repeat, range(m), counts)))
+    counts = list(map(sub, ends, map(bisect_left, repeat(indices), ids, indptr, ends)))
+    seed_u = tuple(chain.from_iterable(map(repeat, ids, counts)))
     seed_v = tuple(chain.from_iterable(map(indices.__getitem__, map(slice, map(sub, ends, counts), ends))))
     return seed_u, seed_v
 
