@@ -24,7 +24,7 @@ header, metadata), and how it reads a ranking that is not written plainly.
 scan_profile reads a profile file in chunks, each cut after its last line
 break of one kind (_line_lists()), and keeps only what the connectivity
 graph needs, so `check` runs in memory bounded by the candidate count
-rather than the file size. The reader checks the lines a
+rather than the file size, even on a soc replay. The reader checks the lines a
 list at a time with C-level built-ins over whole lists (batch()): a join
 with a "\n" marker after each line and a split at ':' give the count fields,
 ranking texts and markers in turn, and a join with a marker after each text
@@ -40,9 +40,9 @@ graphio.
 
 import re
 import unicodedata
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, not_, sub
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import (
     InconsistentMetadata,
@@ -162,7 +162,7 @@ class _Reader:
     noun: str  # what a count field counts, in error messages
     form: str  # what follows the count field, in error messages
     sep: str  # what joins the tokens of a ranking text
-    replay = False  # only a soc file may need a second, whole read
+    replay = False  # only a soc file may need its rows read again, by name
     check_m: Callable[[int], object] | None = None  # called with m once a line gives it
 
     def __init__(self) -> None:
@@ -488,9 +488,24 @@ class _SocReader(_Reader):
                 f"NUMBER VOTERS is {self.declared_voters} but data lines sum to {total}", line=eof
             )
         self.names, self.index = index_candidates(
-            [_alt_name(self.alt_names, i) for i in range(1, alternatives + 1)], self.violations
+            [self.alt_names.get(i, str(i)) for i in range(1, alternatives + 1)], self.violations
         )
-        self.replay = bool(self.violations or self.repeats_an_id or any(self.named_after.values()))
+        # a name declared after data lines, which read its default name, matters only if it differs
+        late = any(after and self.alt_names[idx].strip() != str(idx) for idx, after in self.named_after.items())
+        self.replay = bool(self.violations or self.repeats_an_id or late)
+
+    def by_name(self, rows: Iterable[tuple[Vote, int]]) -> Iterator[tuple[Vote, int]]:
+        """The file's rows after finish(), each id read as the name its
+        alternative had when the row was read and resolved against the final
+        names; a row that does not resolve is left out, its violations
+        recorded."""
+        alt_names, named_after, m = self.alt_names, self.named_after, len(self.names)
+        for vote_no, (ids, count) in enumerate(rows, start=1):
+            # the name of each alternative, 1 to m, when this row was read
+            read = [(alt_names[a] if named_after.get(a, vote_no) < vote_no else str(a)).strip() for a in range(1, m + 1)]
+            resolved = resolve_ranking([read[a] for a in ids], self.index, m, vote_no, self.violations)
+            if resolved is not None:
+                yield resolved, count
 
 
 def _require_m(m: int | None, line_no: int) -> int:
@@ -504,29 +519,17 @@ def parse_preflib_soc(text: str | bytes) -> Election:
 
     Names are matched only at the end, and only when they can change the
     outcome: a missing, empty or repeated name, an order that repeats an id,
-    or a name declared after a data line that used the id's default name.
+    or a name declared after a data line that read the id's default name,
+    unless the name is that default. Otherwise every line named alternative
+    a by names[a - 1], and the names are distinct, so each order resolves to
+    itself.
     """
     reader = _SocReader()
     rows = list(reader.lines(_decode(text).splitlines()))
     reader.finish()
-    if not reader.replay:
-        # Every line named alternative a by names[a - 1], and the names are
-        # distinct: each permutation resolves to itself.
-        return make_election(reader.names, rows, reader.violations)
-
-    alt_names, named_after = reader.alt_names, reader.named_after
-
-    def read_as(alt: int, vote_no: int) -> str:
-        """The name alternative alt had when data line vote_no was read."""
-        return alt_names[alt] if named_after.get(alt, vote_no) < vote_no else str(alt)
-
-    votes: list[tuple[Vote, int]] = []
-    for vote_no, (ids, count) in enumerate(rows, start=1):
-        ranking = [read_as(a + 1, vote_no).strip() for a in ids]
-        resolved = resolve_ranking(ranking, reader.index, len(reader.names), vote_no, reader.violations)
-        if resolved is not None:
-            votes.append((resolved, count))
-    return make_election(reader.names, votes, reader.violations)
+    if reader.replay:
+        rows = list(reader.by_name(rows))
+    return make_election(reader.names, rows, reader.violations)
 
 
 def scan_profile(
@@ -545,8 +548,9 @@ def scan_profile(
     the profiles those accept, and fails on the others with the same error.
     Memory is O(m^2) plus the ranking caches, two chunks and the tokens of
     one list, not O(file size). A soc file whose rows must be read again by
-    name is read whole by parse_preflib_soc; a soc file that cannot seek
-    back for that, such as a pipe, is first copied to a temporary file,
+    name (see parse_preflib_soc) is streamed a second time through a fresh
+    reader's line loop, keeping only the top pairs; a soc file that cannot
+    seek back for that, such as a pipe, is first copied to a temporary file,
     held in memory up to _CHUNK_BYTES. Any other fmt is a ValueError.
     check_m, if given, is called with the candidate count as soon as the
     header or NUMBER ALTERNATIVES line gives it, before any later line is
@@ -571,7 +575,7 @@ def _scan(
     file: BinaryIO, reader: _Reader, check_m: Callable[[int], object] | None, start: int
 ) -> ProfileScan:
     """scan_profile() with the reader of the file's format; a soc file is
-    read again from start if its rows must be read by name."""
+    streamed again from start if its rows must be read by name."""
     reader.check_m = check_m
     tops: set[tuple[int, ...]] = set()
     lists = _line_lists(file)
@@ -589,8 +593,8 @@ def _scan(
         raise
     if reader.replay:
         file.seek(start)
-        election = parse_preflib_soc(file.read())
-        return ProfileScan(election.names, election.n, election.top_pairs)
+        rows = chain.from_iterable(map(_SocReader().lines, _line_lists(file)))
+        tops = {ids[:2] for ids, _ in reader.by_name(rows)}
     if reader.violations:
         raise InvalidElection(reader.violations)
     return ProfileScan(tuple(reader.names), reader.votes, frozenset(tops) if len(reader.names) > 1 else frozenset())
@@ -635,7 +639,3 @@ def _soc_ids(parts: list[str], m: int, line_no: int) -> Vote:
         if not 1 <= alt <= m:
             raise InconsistentMetadata(f"alternative id {alt} outside 1..{m}", line=line_no)
     return tuple(alt - 1 for alt in ids)
-
-
-def _alt_name(alt_names: dict[int, str], idx: int) -> str:
-    return alt_names.get(idx, str(idx))

@@ -55,6 +55,7 @@ SOC_POOL = [
     "1", "2", "3", "4", "0", "01", " 1", "1 ", "-1", "١", "99", "x", "", " ", ",", ":",
     "{", "}", "\n", "\r\n", "\x0c", "\u2028", "# NUMBER VOTERS: 3", "# NUMBER ALTERNATIVES: 3",
     "# ALTERNATIVE NAME 1: b", "# ALTERNATIVE NAME 2: 1", "# ALTERNATIVE NAME 3:", "#",
+    "# ALTERNATIVE NAME 1: 1", "# ALTERNATIVE NAME 2: 2",
 ]
 
 
@@ -93,7 +94,8 @@ def soc_tokens(draw):
     if draw(st.booleans()):
         head.append(f"# NUMBER VOTERS: {sum(mult for _, mult in votes)}\n")
     named = draw(st.lists(st.integers(1, m), unique=True, max_size=m))
-    head += [f"# ALTERNATIVE NAME {i}: {chr(ord('a') + i - 1)}\n" for i in named]
+    ids = [str(i) for i in range(1, m + 1)]  # a name may be an id: the alternative's own, or another's
+    head += [f"# ALTERNATIVE NAME {i}: {draw(st.sampled_from([chr(ord('a') + i - 1), *ids]))}\n" for i in named]
     tokens = []
     for order, mult in votes:
         tokens += [str(mult), ": "]

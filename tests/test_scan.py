@@ -239,7 +239,7 @@ def test_soc_state_carries_across_accepted_lists(monkeypatch, tail):
     want = expected("soc", data)
     seen = _line_loop_spy(monkeypatch, "soc")
     assert scanned("soc", data) == want
-    # a second reader, if any, is parse_preflib_soc's
+    # a second reader, if any, is the one that streams the rows again by name
     assert sum(size for reader, _, size in seen if reader is seen[0][0]) < 3000
     total = sum(int(line.partition(":")[0]) for line in body)
     message = {
@@ -248,6 +248,35 @@ def test_soc_state_carries_across_accepted_lists(monkeypatch, tail):
         "# NUMBER VOTERS: 1\n": f"line {len(head) + 3001}: NUMBER VOTERS is 1 but data lines sum to {total}",
     }[tail]
     assert want[1].startswith(message)
+
+
+def _not_read_by_name(reader, rows):
+    raise AssertionError("the rows were read again by name")
+
+
+SOC_3 = "# NUMBER ALTERNATIVES: 3\n", "1: 1,2,3\n2: 2,3,1\n1: 3,1,2\n"
+
+
+@pytest.mark.parametrize("name", ["# ALTERNATIVE NAME 1: 1\n", "# ALTERNATIVE NAME 03:  3\n"])
+def test_a_late_name_equal_to_the_default_is_not_read_again(monkeypatch, name):
+    """Every data line before it read that name already, so each order
+    resolves to itself, as with the name first."""
+    head, body = SOC_3
+    first, late = (head + name + body).encode(), (head + body + name).encode()
+    want = expected("soc", first), scanned("soc", first)
+    assert want[0][0] == "ok"
+    monkeypatch.setattr(profiles._SocReader, "by_name", _not_read_by_name)
+    assert (expected("soc", late), scanned("soc", late)) == want
+
+
+def test_a_late_swap_of_names_is_read_again(monkeypatch):
+    head, body = SOC_3
+    late = (head + body + "# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n").encode()
+    assert scanned("soc", late) == expected("soc", late) == ("ok", (("2", "1", "3"), 4, {(1, 0), (0, 2), (2, 1)}))
+    monkeypatch.setattr(profiles._SocReader, "by_name", _not_read_by_name)
+    for read in (parse_preflib_soc, lambda data: scan_profile(io.BytesIO(data), "soc")):
+        with pytest.raises(AssertionError, match="read again by name"):
+            read(late)
 
 
 def _around(head: str, clean: list[str], edge: str) -> bytes:
@@ -528,6 +557,33 @@ def test_a_soc_pipe_is_scanned_in_the_memory_of_its_file(tmp_path, monkeypatch):
     scan_pipe()  # first-call allocations, such as imports, are not the scan's
     file_peak, pipe_peak = _traced_peak(scan_file), _traced_peak(scan_pipe)
     assert pipe_peak < file_peak + 4 * profiles._CHUNK_BYTES < len(data), (pipe_peak, file_peak, len(data))
+
+
+def test_a_late_named_soc_file_is_scanned_in_the_memory_of_its_file(tmp_path, monkeypatch):
+    # Names declared after the data are matched by reading the rows again:
+    # streamed a second time, in chunks, whether from a file or a pipe.
+    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 256)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    head, body = _written("soc", 12, _no_repeat_votes(20_000))
+    unnamed = [line for line in head if "NAME" not in line]
+    # alternatives 1 and 2 swap names, so the rows must be read again
+    data = "".join(unnamed + body + ["# ALTERNATIVE NAME 1: 2\n", "# ALTERNATIVE NAME 2: 1\n"]).encode()
+    (tmp_path / "first.soc").write_bytes("".join(head + body).encode())
+    (tmp_path / "late.soc").write_bytes(data)
+
+    def scan_file(name):
+        with open(tmp_path / name, "rb") as file:
+            assert scan_profile(file, "soc").n == 20_000
+
+    def scan_pipe():
+        assert scan_profile(_Pipe(data), "soc").n == 20_000
+
+    scan_pipe()  # first-call allocations, such as imports, are not the scan's
+    first_peak = _traced_peak(lambda: scan_file("first.soc"))
+    for scan in (lambda: scan_file("late.soc"), scan_pipe):
+        late_peak = _traced_peak(scan)
+        assert late_peak < first_peak + 4 * profiles._CHUNK_BYTES < len(data), (late_peak, first_peak, len(data))
 
 
 @pytest.mark.parametrize(
