@@ -30,8 +30,6 @@ from .errors import (
     Violation,
 )
 from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
-from .model import Candidate, Election, ProfileScan, Vote, default_names, top_two, validate_election
-from .profiles import parse_native, parse_preflib_soc, scan_profile
 from .recognize import (
     ClosureState,
     LinkedOrder,
@@ -45,10 +43,22 @@ from .recognize import (
 
 __version__ = "0.1.0"
 
-# The generators, the brute-force oracle and the graph-file readers and
-# writers serve tests, fixtures, the gen and oracle commands and check's
-# --graph-out, never a plain check: they are imported on first access.
+# The package imports the recognizer. The profile readers and the election
+# model, which check imports through cli, and the generators, the
+# brute-force oracle and the graph-file readers and writers, which serve
+# tests, fixtures, the gen and oracle commands and check's --graph-out, are
+# imported on first access.
 _LAZY = {
+    "parse_native": "profiles",
+    "parse_preflib_soc": "profiles",
+    "scan_profile": "profiles",
+    "Candidate": "model",
+    "Election": "model",
+    "ProfileScan": "model",
+    "Vote": "model",
+    "default_names": "model",
+    "top_two": "model",
+    "validate_election": "model",
     "export_dot": "graphio",
     "parse_graph": "graphio",
     "write_native": "graphio",

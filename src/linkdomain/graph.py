@@ -12,10 +12,12 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, sub
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import TooFewCandidates
-from .model import Election, ProfileScan
+
+if TYPE_CHECKING:  # the recognizer runs without the election model
+    from .model import Election, ProfileScan
 
 Edge = tuple[int, int]
 
@@ -150,14 +152,14 @@ def _seeds(ids: list[int], indptr: tuple[int, ...], indices: tuple[int, ...]) ->
     return seed_u, seed_v
 
 
-def top_pair_set(election: Election) -> frozenset[tuple[int, int]]:
+def top_pair_set(election: "Election") -> frozenset[tuple[int, int]]:
     """Ordered (first, second) pairs occurring in some vote; multiplicities collapse."""
     if election.m < 2:
         raise TooFewCandidates("top pairs need at least two candidates")
     return election.top_pairs
 
 
-def build_graph(profile: Election | ProfileScan, mode: Mode = Mode.STRONG) -> ConnectivityGraph:
+def build_graph(profile: "Election | ProfileScan", mode: Mode = Mode.STRONG) -> ConnectivityGraph:
     """Connectivity graph of an election under the given edge rule.
 
     Strong: edge {a, b} iff both (a, b) and (b, a) occur as top pairs.

@@ -39,7 +39,6 @@ graphio.
 """
 
 import re
-import unicodedata
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_, sub
 from typing import BinaryIO, Callable, Iterable, Iterator
@@ -134,6 +133,8 @@ def _decimal(digits: str) -> int | None:
     has more than MAX_DIGITS significant digits, where int() would raise
     ValueError."""
     if not digits.isascii():
+        import unicodedata  # here, so an ASCII profile never loads it
+
         digits = "".join(str(unicodedata.decimal(c)) for c in digits)
     digits = digits.lstrip("0") or "0"
     return int(digits) if len(digits) <= MAX_DIGITS else None

@@ -17,15 +17,17 @@ same verdict. The witness is the FIFO insertion order of the seed sweep
 (linkdomain.kernels); greedy_closure is the reference closure.
 """
 
-import heapq
 from collections.abc import Mapping
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import kernels
 from .errors import NotAPermutation, SeedNotEdge
 from .graph import ConnectivityGraph, Edge, Mode, build_graph
-from .model import Election, Record
+from .record import Record
+
+if TYPE_CHECKING:  # the recognizer runs without the election model
+    from .model import Election
 
 LinkedOrder = tuple[int, ...]
 
@@ -121,6 +123,8 @@ def greedy_closure(
     controls only the recorded insertion order. Default is lowest id
     first. Raises SeedNotEdge when the seed pair is not an edge.
     """
+    import heapq  # here, so recognize and a library import never load it
+
     a, b = (seed[0], seed[1]) if seed[0] < seed[1] else (seed[1], seed[0])
     if not graph.has_edge(a, b):
         raise SeedNotEdge(f"seed ({a}, {b}) is not an edge")
@@ -207,7 +211,7 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     return RecognitionResult(linked=True, witness=witness)
 
 
-def recognize_election(election: Election, mode: Mode = Mode.STRONG) -> RecognitionResult:
+def recognize_election(election: "Election", mode: Mode = Mode.STRONG) -> RecognitionResult:
     """Build the connectivity graph for the mode and recognize it (a
     one-candidate election gives the one-vertex graph, linked by convention)."""
     return recognize(build_graph(election, mode))

@@ -11,16 +11,12 @@ light, and mixed; the test checks from the degrees which one it got.
 
 import math
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import linkdomain
 from linkdomain import (
     ConnectivityGraph,
     gen_pendant_clique,
@@ -285,39 +281,3 @@ def test_filter_reads_each_lower_end_row_once():
     assert set(sizes) == {2}
     bound = sum(map(g.degree, set(seed_u))) + sum(map(g.degree, seed_v))
     assert counting.read <= bound, (counting.read, bound)
-
-
-LAZY_NAMES = {
-    "generate": ["gen_edge_realizing", "gen_impartial_culture", "gen_linked_graph", "gen_pendant_clique",
-                 "gen_random_graph"],
-    "oracle": ["brute_force_linked", "enumerate_graphs", "linked_via_all_pair_seeds"],
-    "graphio": ["export_dot", "parse_graph", "write_native"],
-}
-IMPORT_SET_CHECK = """
-import sys, linkdomain, linkdomain.cli
-print(sorted({"numpy", "dataclasses", "linkdomain.generate", "linkdomain.oracle", "linkdomain.graphio"}
-             & set(sys.modules)))
-print(sorted(set(linkdomain.__all__) - set(vars(linkdomain))))
-assert set(linkdomain.__all__) <= set(dir(linkdomain))
-import linkdomain.generate, linkdomain.oracle, linkdomain.graphio
-for module, names in LAZY_NAMES.items():
-    for name in names:
-        assert getattr(linkdomain, name) is getattr(getattr(linkdomain, module), name), name
-star = {}
-exec("from linkdomain import *", star)
-assert set(linkdomain.__all__) <= set(star)
-"""
-
-
-def test_import_loads_only_what_check_runs():
-    """`import linkdomain, linkdomain.cli`, all that `check` imports, loads
-    neither numpy, nor dataclasses, nor the generator, oracle and graph-file
-    modules, whose public names the package resolves on first access."""
-    src = str(Path(linkdomain.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", f"LAZY_NAMES = {LAZY_NAMES!r}\n{IMPORT_SET_CHECK}"],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    lazy = sorted(name for names in LAZY_NAMES.values() for name in names)
-    assert out.stdout.splitlines() == ["[]", repr(lazy)]
