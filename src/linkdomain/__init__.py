@@ -31,7 +31,6 @@ from .errors import (
 )
 from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
 from .recognize import (
-    ClosureState,
     LinkedOrder,
     RecognitionResult,
     StuckCertificate,
@@ -90,7 +89,6 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "Candidate",
-    "ClosureState",
     "ConnectivityGraph",
     "DuplicateCandidateName",
     "Election",

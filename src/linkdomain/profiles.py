@@ -548,7 +548,9 @@ def scan_profile(
     parse_preflib_soc, which decides every error, so this accepts exactly
     the profiles those accept, and fails on the others with the same error.
     Memory is O(m^2) plus the ranking caches, two chunks and the tokens of
-    one list, not O(file size). A soc file whose rows must be read again by
+    one list. The caches take new rankings again after any hit, so a few
+    repeats among new rankings grow them with the file (ROADMAP item 3).
+    A soc file whose rows must be read again by
     name (see parse_preflib_soc) is streamed a second time through a fresh
     reader's line loop, keeping only the top pairs; a soc file that cannot
     seek back for that, such as a pipe, is first copied to a temporary file,

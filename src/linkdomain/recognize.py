@@ -32,22 +32,6 @@ if TYPE_CHECKING:  # the recognizer runs without the election model
 LinkedOrder = tuple[int, ...]
 
 
-class ClosureState(Record):
-    """Result of growing one seed: insertion order plus per-vertex bookkeeping.
-
-    counters[v] is the number of neighbors of v inside the reached set for
-    every vertex, members or not; every vertex at position >= 2 of
-    `reached` had a counter of at least 2 when it was inserted.
-    """
-
-    __slots__ = ("seed", "reached", "in_set", "counters")
-
-    def __init__(
-        self, seed: Edge, reached: tuple[int, ...], in_set: tuple[bool, ...], counters: tuple[int, ...]
-    ):
-        self._fill(seed, reached, in_set, counters)
-
-
 class StuckCertificate(Mapping):
     """Read-only map seed edge -> stuck reached set, proof of a NO verdict.
 
@@ -76,7 +60,7 @@ class StuckCertificate(Mapping):
     def __getitem__(self, seed: Edge) -> frozenset[int]:
         if seed not in self._size_of:
             raise KeyError(seed)
-        return frozenset(greedy_closure(self._graph, seed).reached)
+        return frozenset(greedy_closure(self._graph, seed))
 
     def __contains__(self, seed: object) -> bool:
         return seed in self._size_of
@@ -88,7 +72,7 @@ class StuckCertificate(Mapping):
         return len(self._sizes)
 
     def stuck_size(self, seed: Edge) -> int:
-        return self._size_of[seed] or len(greedy_closure(self._graph, seed).reached)
+        return self._size_of[seed] or len(greedy_closure(self._graph, seed))
 
     @property
     def max_stuck_size(self) -> int:
@@ -115,13 +99,14 @@ def greedy_closure(
     graph: ConnectivityGraph,
     seed: Edge,
     priority: Sequence[int] | None = None,
-) -> ClosureState:
+) -> tuple[int, ...]:
     """Grow the seed edge by repeatedly absorbing a vertex with >= 2 absorbed neighbors.
 
-    The reached set is maximal and independent of which addable vertex is
-    taken first; `priority` (a rank per vertex id, lowest rank wins)
-    controls only the recorded insertion order. Default is lowest id
-    first. Raises SeedNotEdge when the seed pair is not an edge.
+    Returns the absorption order: the seed with its lower end first, then
+    each vertex as it was absorbed. The reached set is maximal and
+    independent of which addable vertex is taken first; `priority` (a rank
+    per vertex id, lowest rank wins) controls only the order. Default is
+    lowest id first. Raises SeedNotEdge when the seed pair is not an edge.
     """
     import heapq  # here, so recognize and a library import never load it
 
@@ -149,7 +134,7 @@ def greedy_closure(
         _, v = heapq.heappop(ready)
         if not in_set[v]:
             absorb(v)
-    return ClosureState((a, b), tuple(reached), tuple(in_set), tuple(counters))
+    return tuple(reached)
 
 
 def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:

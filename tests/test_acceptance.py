@@ -103,9 +103,9 @@ def test_criterion_3_closure_confluence():
             rng.shuffle(priority)
             priorities.append(priority)
         for seed in g.edges:
-            baseline = frozenset(greedy_closure(g, seed).reached)
+            baseline = frozenset(greedy_closure(g, seed))
             for priority in priorities:
-                if frozenset(greedy_closure(g, seed, priority=priority).reached) != baseline:
+                if frozenset(greedy_closure(g, seed, priority=priority)) != baseline:
                     failures.append((i, seed))
                     break
     _report(

@@ -57,7 +57,7 @@ def assert_matches_ordered_closure(g) -> list[frozenset]:
     for i in range(stop):
         a, b = g.edges[i]
         if sizes[i]:
-            closure = frozenset(greedy_closure(g, (a, b)).reached)
+            closure = frozenset(greedy_closure(g, (a, b)))
             assert sizes[i] == len(closure), (i, sizes[i], len(closure))
             assert (len(closure) == g.m) == (i == winner)
             ran.append((i, closure))
@@ -73,7 +73,7 @@ def test_pure_sweep_matches_ordered_closure(g):
     cut = kernels.heavy_cut(g.m)
     assert all(g.degree(v) >= cut for v in range(g.m) if g.degree(v))
     winner, sizes = run(g)
-    closures = [frozenset(greedy_closure(g, seed).reached) for seed in g.edges]
+    closures = [frozenset(greedy_closure(g, seed)) for seed in g.edges]
     assert winner == next((i for i, c in enumerate(closures) if len(c) == g.m), -1)
     stop = len(g.edges) if winner < 0 else winner + 1
     for i in range(stop):

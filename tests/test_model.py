@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from linkdomain import (
     Candidate,
-    ClosureState,
     DuplicateCandidateName,
     Election,
     EmptyCandidateSet,
@@ -140,10 +139,6 @@ class TestRecordValues:
          ProfileScan(names=("a", "b"), n=2, top_pairs=frozenset({(0, 1)})),
          ProfileScan(("a", "b"), 3, frozenset({(0, 1)})),
          "ProfileScan(names=('a', 'b'), n=2, top_pairs=frozenset({(0, 1)}))"),
-        (ClosureState((0, 1), (0, 1), (True, True), (1, 1)),
-         ClosureState(seed=(0, 1), reached=(0, 1), in_set=(True, True), counters=(1, 1)),
-         ClosureState((0, 1), (1, 0), (True, True), (1, 1)),
-         "ClosureState(seed=(0, 1), reached=(0, 1), in_set=(True, True), counters=(1, 1))"),
         (RecognitionResult(True, (0, 1)), RecognitionResult(linked=True, witness=(0, 1), certificate=None),
          RecognitionResult(True, (1, 0)),
          "RecognitionResult(linked=True, witness=(0, 1), certificate=None)"),
