@@ -13,8 +13,9 @@ an unconnected pair is invalid outright.
 
 The reached set of a seed does not depend on absorption order (absorbing a
 vertex never lowers another vertex's count), so any tie-break gives the
-same verdict. The witness is the FIFO insertion order of the seed sweep
-(linkdomain.kernels); greedy_closure is the reference closure.
+same verdict. The seed sweep (linkdomain.kernels) and greedy_closure, the
+reference closure, both absorb first in, first out, so the witness is
+greedy_closure(graph, s) for the first seed s whose closure covers.
 """
 
 from collections.abc import Mapping
@@ -42,11 +43,11 @@ class StuckCertificate(Mapping):
     len() and max_stuck_size answer from it, and iteration walks the
     graph's seed lists. The first lookup by key ([], `in`, stuck_size())
     builds a dict from edge to size, O(#seeds) tuples, and keeps it.
-    Stuck sets are recomputed on access (the closure is deterministic),
-    never stored. stuck_size() answers from the stored entry, and
-    recomputes the closure only for a skipped seed. max_stuck_size is
-    exact from the run seeds alone, since a skipped seed's closure lies
-    inside a run one.
+    Stuck sets are recomputed on access by greedy_closure, never stored:
+    a lookup costs m bytes plus the rows of the stuck set's vertices.
+    stuck_size() answers from the stored entry, and recomputes the closure
+    only for a skipped seed. max_stuck_size is exact from the run seeds
+    alone, since a skipped seed's closure lies inside a run one.
     """
 
     def __init__(self, graph: ConnectivityGraph, sizes: Sequence[int]):
@@ -95,46 +96,33 @@ class RecognitionResult(Record):
         return "linked" if self.linked else "not-linked"
 
 
-def greedy_closure(
-    graph: ConnectivityGraph,
-    seed: Edge,
-    priority: Sequence[int] | None = None,
-) -> tuple[int, ...]:
+def greedy_closure(graph: ConnectivityGraph, seed: Edge) -> tuple[int, ...]:
     """Grow the seed edge by repeatedly absorbing a vertex with >= 2 absorbed neighbors.
 
     Returns the absorption order: the seed with its lower end first, then
-    each vertex as it was absorbed. The reached set is maximal and
-    independent of which addable vertex is taken first; `priority` (a rank
-    per vertex id, lowest rank wins) controls only the order. Default is
-    lowest id first. Raises SeedNotEdge when the seed pair is not an edge.
+    each vertex in the order it reached two absorbed neighbors, the
+    absorbed vertices' rows read first in, first out and each ascending,
+    which is the order the seed sweep absorbs in. The reached set is
+    maximal and independent of that order; relabeling the graph gives
+    another order. Costs m bytes of counts plus the rows of the vertices
+    absorbed. Raises SeedNotEdge when the seed pair is not an edge.
     """
-    import heapq  # here, so recognize and a library import never load it
-
     a, b = (seed[0], seed[1]) if seed[0] < seed[1] else (seed[1], seed[0])
     if not graph.has_edge(a, b):
         raise SeedNotEdge(f"seed ({a}, {b}) is not an edge")
-    rank = priority if priority is not None else range(graph.m)
-
-    counters = [0] * graph.m
-    in_set = [False] * graph.m
-    reached = []
-    ready: list[tuple[int, int]] = []
-
-    def absorb(v: int) -> None:
-        in_set[v] = True
-        reached.append(v)
+    count = bytearray(graph.m)  # absorbed neighbors, saturating at 2; members read 2
+    count[a] = count[b] = 2
+    order = [a, b]
+    push = order.append
+    for v in order:  # sees the vertices pushed while it runs
         for w in graph.neighbors(v):
-            counters[w] += 1
-            if counters[w] == 2 and not in_set[w]:
-                heapq.heappush(ready, (rank[w], w))
-
-    absorb(a)
-    absorb(b)
-    while ready:
-        _, v = heapq.heappop(ready)
-        if not in_set[v]:
-            absorb(v)
-    return tuple(reached)
+            c = count[w]
+            if not c:
+                count[w] = 1
+            elif c == 1:
+                count[w] = 2
+                push(w)
+    return tuple(order)
 
 
 def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:

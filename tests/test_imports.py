@@ -4,6 +4,7 @@ recognizer; every other public name is resolved on first access, and
 Each check runs in a fresh interpreter, since this one has imported
 everything already."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,13 @@ assert linkdomain.scan_profile is linkdomain.profiles.scan_profile
 assert linkdomain.Election is linkdomain.model.Election
 assert linkdomain.model.Record is linkdomain.record.Record
 """
+CERTIFICATE_LOOKUP_CHECK = """
+import sys
+from linkdomain import ConnectivityGraph, recognize
+certificate = recognize(ConnectivityGraph(3, [(0, 1), (1, 2)])).certificate
+assert dict(certificate.items()) == {(0, 1): frozenset({0, 1}), (1, 2): frozenset({1, 2})}
+print("heapq" in sys.modules)
+"""
 
 
 def run_fresh(code: str) -> list[str]:
@@ -71,3 +79,21 @@ def test_library_import_loads_only_the_recognizer():
     CLI. The lazy names then resolve to their modules' objects, and model's
     Record is the one record.py defines."""
     assert run_fresh(LIBRARY_IMPORT_CHECK) == ["[]"]
+
+
+def test_certificate_lookup_loads_no_heap():
+    """Every lookup of a NOT-linked certificate runs the reference closure,
+    a first-in, first-out loop: iterating one loads no heap module."""
+    assert run_fresh(CERTIFICATE_LOOKUP_CHECK) == ["False"]
+
+
+def test_recognize_is_the_function_and_import_module_gives_the_module():
+    """The package binds the function `recognize` over its submodule of the
+    same name, so the module is reached by import_module (or sys.modules)."""
+    import linkdomain.recognize as bound
+
+    assert bound is linkdomain.recognize
+    module = importlib.import_module("linkdomain.recognize")
+    assert linkdomain.recognize is module.recognize
+    assert module is sys.modules["linkdomain.recognize"]
+    assert module.greedy_closure is linkdomain.greedy_closure

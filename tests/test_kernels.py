@@ -50,16 +50,22 @@ def heavy_vertices(g) -> list[int]:
 
 
 def assert_matches_ordered_closure(g) -> list[frozenset]:
-    """Check the kernel contract against greedy_closure; returns the closures of the seeds run."""
+    """Check the kernel contract against greedy_closure; returns the closures of the seeds run.
+
+    The winner is the first covering seed, and the witness its closure in
+    greedy_closure's order."""
     winner, sizes = run(g)
     stop = len(g.edges) if winner < 0 else winner + 1
     ran: list[tuple[int, frozenset]] = []
     for i in range(stop):
         a, b = g.edges[i]
         if sizes[i]:
-            closure = frozenset(greedy_closure(g, (a, b)))
+            order = greedy_closure(g, (a, b))
+            closure = frozenset(order)
             assert sizes[i] == len(closure), (i, sizes[i], len(closure))
             assert (len(closure) == g.m) == (i == winner)
+            if i == winner:
+                assert recognize(g).witness == order
             ran.append((i, closure))
         else:
             # skipped: both ends inside the stuck set of an earlier seed that ran
@@ -146,17 +152,43 @@ def test_pure_sweep_matches_ordered_closure_gnp(seed, factor):
     assert_matches_ordered_closure(g)
 
 
+def hub_graph(m: int = 700) -> set[tuple[int, int]]:
+    """Edges of a run of triangles on 1..m-1 with hub 0 joined to every
+    seventh vertex: degree 99 at m = 700, the only heavy vertex."""
+    edges = {(i, i + 1) for i in range(1, m - 1)} | {(i, i + 2) for i in range(1, m - 2)}
+    return edges | {(0, v) for v in range(5, m, 7)}
+
+
 def test_mixed_closures_absorb_heavy_and_light_vertices():
     # The mixed property above could in principle only ever meet stuck sets
     # that avoid the hubs; this fixed graph has a hub inside a run of
     # triangles, so seeds grow through both kinds of vertex.
-    m = 700
-    edges = {(i, i + 1) for i in range(1, m - 1)} | {(i, i + 2) for i in range(1, m - 2)}
-    edges |= {(0, v) for v in range(5, m, 7)}  # hub 0, degree 99
-    g = ConnectivityGraph(m, edges - {(300, 301), (300, 302), (299, 301)})
+    g = ConnectivityGraph(700, hub_graph() - {(300, 301), (300, 302), (299, 301)})
     assert heavy_vertices(g) == [0]
     closures = assert_matches_ordered_closure(g)
     assert any(0 in c and len(c) > 100 for c in closures)
+
+
+def squared_path(m: int, seed: int) -> ConnectivityGraph:
+    """The square of a path through 0..m-1 in a random order: linked, no degree above 4."""
+    order = list(range(m))
+    random.Random(seed).shuffle(order)
+    return ConnectivityGraph(m, [(order[i], order[j]) for i in range(m) for j in (i + 1, i + 2) if j < m])
+
+
+@pytest.mark.parametrize(
+    "g, heavy",
+    [(ConnectivityGraph(700, hub_graph()), [0]), (squared_path(320, seed=320), [])],
+    ids=["hub_m700", "all_light_m320"],
+)
+def test_witness_is_the_closure_of_the_first_covering_seed(g, heavy):
+    # Both graphs are linked. The hub graph's winning closure absorbs the
+    # hub 13th, so its witness comes from both phases of the sweep, mostly
+    # the bitset one; the squared path has no heavy vertex, so its witness
+    # comes from the list loop alone.
+    assert heavy_vertices(g) == heavy
+    assert recognize(g).linked
+    assert_matches_ordered_closure(g)
 
 
 @pytest.mark.parametrize("m", [100, 300])
