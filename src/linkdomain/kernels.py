@@ -11,14 +11,20 @@ slot per seed:
   whose closure covers all m vertices (a linked order: each vertex after
   the seed joined with two neighbors in), or None when none does;
 - for every seed up to the winner, sizes_out[s] is the exact closure size
-  when the kernel decided the seed, and 0 when it skipped it as subsumed
-  (both ends inside the stuck set of an earlier seed it ran, so its closure
-  lies inside that set: a stuck set is closed, no vertex outside has two
-  neighbors inside).
+  when the kernel decided the seed, and 0 when it skipped it as subsumed:
+  its ends share a neighbor and both lie inside the stuck set of an earlier
+  seed it ran, so its closure lies inside that set (a stuck set is closed,
+  no vertex outside has two neighbors inside). A seed whose ends share no
+  neighbor reads 2, inside a stuck set or not.
 
-Two exact shortcuts keep the work down. A seed whose ends share no
-neighbor can never grow, so it is written as size 2 without running it.
-When neither end is heavy (below), that test hashes the lower end's row
+Exact shortcuts keep the work down, and each seed takes the cheapest test
+first. A seed whose ends share no neighbor can never grow, so it is
+written as size 2 without running it; only a seed that passes this filter
+is looked up among the recorded stuck sets' inner edges, and only one that
+is not found there is run. A run that sticks at a triangle [a, b, c]
+records (a, c) and (b, c) from its queue, since c joined through both seed
+ends; a larger stuck set is recorded by scanning its members' rows.
+When neither end is heavy (below), the filter hashes the lower end's row
 into a set and scans the higher end's row against it; the set is kept
 until the lower end changes. The seed lists are ascending, so each lower
 end's seeds are consecutive, and a lower end a pays O(deg a) once and each
@@ -60,8 +66,9 @@ def sweep_seeds(
 ) -> list[int] | None:
     """Run the 2-neighbor closure from every seed edge in order, skipping subsumed ones.
 
-    Writes the reached-set size of seed s into sizes_out[s], or 0 when the
-    seed lies inside an earlier seed's stuck set and was not run, and stops
+    Writes the reached-set size of seed s into sizes_out[s]: 2 when its
+    ends share no neighbor, else 0 when it lies inside an earlier seed's
+    stuck set and was not run, else the size of its closure; and stops
     at the first seed whose closure covers all m vertices, returning its
     absorption order (the seed's two ends first); returns None when every
     seed gets stuck. Entries after the winner are left untouched. Per-seed
@@ -75,7 +82,9 @@ def sweep_seeds(
     read only by slicing rows out of the graph's stored `indices`, which is
     never copied whole. A seed that passes the filter absorbs the common
     neighbor, so every seed run sticks at three or more vertices, and its
-    stuck set is recorded for the subsumption test.
+    stuck set is recorded for the subsumption test: a triangle from its
+    queue, a larger set by a scan of its members' rows. With m == 2 the
+    one possible seed covers, and is returned before the loop.
     """
     ptr = indptr
     cut = heavy_cut(m)
@@ -96,11 +105,11 @@ def sweep_seeds(
     subsumed: set[int] = set()  # a * m + b for seed edges inside a recorded stuck set
     row_owner, row_set = -1, set()  # the row of the last light lower end tested, as a set
 
+    if m == 2 and len(seed_u):  # the one seed (0, 1) covers both vertices
+        sizes_out[0] = 2
+        return [seed_u[0], seed_v[0]]
     for s in range(len(seed_u)):
         a, b = seed_u[s], seed_v[s]
-        if a * m + b in subsumed:
-            sizes_out[s] = 0
-            continue
         # The common-neighbor filter: by masks, a row and a list, or two lists.
         mask_a, mask_b = masks[a], masks[b]
         if mask_a and mask_b:
@@ -114,8 +123,9 @@ def sweep_seeds(
             common = not row_set.isdisjoint(indices[ptr[b] : ptr[b + 1]])
         if not common:
             sizes_out[s] = 2
-            if m == 2:
-                return [a, b]
+            continue
+        if a * m + b in subsumed:
+            sizes_out[s] = 0
             continue
         one = 2 * s
         mem = one + 1
@@ -125,6 +135,13 @@ def sweep_seeds(
         sizes_out[s] = size
         if size == m:
             return queue
+        if size == 3:
+            # A stuck triangle: c joined through both ends, so (a, c) and
+            # (b, c) are its only inner edges besides the seed.
+            c = queue[2]
+            subsumed.add(a * m + c if a < c else c * m + a)
+            subsumed.add(b * m + c if b < c else c * m + b)
+            continue
         # Record the stuck set's inner edges: light members scan their
         # adjacency, heavy ones read N[v] & P from the masks.
         reached = int.from_bytes(member_bits, "little") if member_bits is not None else 0

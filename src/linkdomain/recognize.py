@@ -38,8 +38,9 @@ class StuckCertificate(Mapping):
 
     A certificate holds the graph and the `sizes` list the seed sweep
     wrote, one entry per edge in seed order: the stuck-set size of a seed
-    the sweep decided, 0 for one it skipped because it lies inside an
-    earlier stuck set. Holding one costs that list and nothing more:
+    the sweep decided, 2 for one whose ends share no neighbor, wherever it
+    lies, and 0 for one it skipped because it lies inside an earlier stuck
+    set. Holding one costs that list and nothing more:
     len() and max_stuck_size answer from it, and iteration walks the
     graph's seed lists. The first lookup by key ([], `in`, stuck_size())
     builds a dict from edge to size, O(#seeds) tuples, and keeps it.
@@ -179,6 +180,7 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     if order is None:
         return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes))
     witness = tuple(order)
+    del order, sizes  # only a NO certificate keeps the sizes
     if not verify_witness(graph, witness):
         raise RuntimeError("the seed sweep produced an invalid witness; this is a bug")
     return RecognitionResult(linked=True, witness=witness)

@@ -2,8 +2,10 @@
 
 The kernel returns the absorption order of the first covering seed, a
 linked order, and writes the exact closure size of every seed it
-decided; a seed it skipped reads 0 and must lie inside the stuck set of
-an earlier seed it ran. A vertex is heavy when its degree is at least
+decided. It takes the common-neighbor filter first, so a seed whose ends
+share no neighbor reads 2 wherever it lies; a seed it skipped reads 0,
+must have ends that share a neighbor, and must lie inside the stuck set
+of an earlier seed it ran. A vertex is heavy when its degree is at least
 kernels.heavy_cut(m), and the closure treats heavy and light vertices
 differently, so each property runs on graphs that are all heavy, all
 light, and mixed; the test checks from the degrees which one it got.
@@ -44,6 +46,10 @@ def run(g):
     return winner, sizes
 
 
+def share_a_neighbor(g, a: int, b: int) -> bool:
+    return not set(g.neighbors(a)).isdisjoint(g.neighbors(b))
+
+
 def heavy_vertices(g) -> list[int]:
     cut = kernels.heavy_cut(g.m)
     return [v for v in range(g.m) if g.degree(v) >= cut]
@@ -53,12 +59,14 @@ def assert_matches_ordered_closure(g) -> list[frozenset]:
     """Check the kernel contract against greedy_closure; returns the closures of the seeds run.
 
     The winner is the first covering seed, and the witness its closure in
-    greedy_closure's order."""
+    greedy_closure's order. A seed reads 2 exactly when its ends share no
+    neighbor, since the filter runs before the subsumption test."""
     winner, sizes = run(g)
     stop = len(g.edges) if winner < 0 else winner + 1
     ran: list[tuple[int, frozenset]] = []
     for i in range(stop):
         a, b = g.edges[i]
+        assert (sizes[i] == 2) == (not share_a_neighbor(g, a, b)), (i, sizes[i])
         if sizes[i]:
             order = greedy_closure(g, (a, b))
             closure = frozenset(order)
@@ -83,6 +91,7 @@ def test_pure_sweep_matches_ordered_closure(g):
     assert winner == next((i for i, c in enumerate(closures) if len(c) == g.m), -1)
     stop = len(g.edges) if winner < 0 else winner + 1
     for i in range(stop):
+        assert (sizes[i] == 2) == (not share_a_neighbor(g, *g.edges[i]))
         if sizes[i]:
             assert sizes[i] == len(closures[i])
         else:
@@ -210,6 +219,34 @@ def test_pendant_clique_runs_two_seeds(monkeypatch, m):
     assert len(result.certificate) == len(g.edges)
     (sizes,) = written
     assert sorted(size for size in sizes if size) == [2, m - 1]
+
+
+def test_filter_runs_before_the_subsumption_test():
+    # Seed (0, 2) sticks at {0, 1, 2, 3, 4}. Seeds (1, 2) and (1, 4) lie
+    # inside that set, but their ends share no neighbor, so the filter cuts
+    # them and writes their exact size 2; (0, 3), (0, 4), (2, 3) and (3, 4)
+    # pass the filter and are skipped as subsumed.
+    g = ConnectivityGraph(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)])
+    assert run(g) == (-1, [5, 0, 0, 2, 2, 0, 0])
+    assert_matches_ordered_closure(g)
+
+
+def triangle_chain(k: int) -> ConnectivityGraph:
+    """Triangles {2i, 2i+1, 2i+2} for i < k, each sharing one vertex with the next."""
+    edges = [e for i in range(k) for e in ((2 * i, 2 * i + 1), (2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
+    return ConnectivityGraph(2 * k + 1, edges)
+
+
+@pytest.mark.parametrize("k, heavy", [(3, True), (200, False)], ids=["heavy_m7", "light_m401"])
+def test_stuck_triangles_subsume_their_other_edges(k, heavy):
+    # Every triangle is its own stuck set, and its first seed runs. The other
+    # two edges pass the filter and must read 0: a triangle recorded with the
+    # wrong keys would run them again, at their exact size 3, which the
+    # size checks alone accept.
+    g = triangle_chain(k)
+    assert bool(heavy_vertices(g)) == heavy
+    assert run(g) == (-1, [3, 0, 0] * k)
+    assert_matches_ordered_closure(g)
 
 
 def test_sweep_handles_no_seeds():
