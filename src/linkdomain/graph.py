@@ -10,7 +10,7 @@ only on this graph, so everything downstream consumes it.
 
 from bisect import bisect_left
 from enum import Enum
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import eq, sub
 from typing import TYPE_CHECKING, Iterable
 
@@ -46,9 +46,13 @@ class ConnectivityGraph:
     together when the graph is built, and every tuple above refers to
     those: the graph keeps none of the caller's objects, so input given as
     bools or other int-like values comes back as plain ints, and a vertex
-    that ends many edges is read from one place in memory. Equality
-    compares the vertex count and the seed lists (mode is provenance, not
-    structure).
+    that ends many edges is read from one place in memory. Edges are
+    checked in input order, and the first bad one raises ValueError: a
+    self-loop, or an int id below 0 or of m or more. Only a negative id is
+    compared; an id of m or more is refused by the failed list lookup, so
+    a non-integer id that is not below 0 raises the lookup's TypeError.
+    Equality compares the vertex count and the seed lists (mode is
+    provenance, not structure).
     """
 
     __slots__ = ("m", "mode", "_indptr", "_indices", "_seed_u", "_seed_v", "_edges")
@@ -57,24 +61,33 @@ class ConnectivityGraph:
         if m < 1:
             raise ValueError("graph needs at least one vertex")
         ids = list(range(m))
-        rows: list[list[int]] = [[] for _ in range(m)]
+        rows: list[list[int]] = list(map(list, repeat((), m)))
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < m and 0 <= v < m):
+            # An id of m or more fails the lookups below, so only the lower
+            # bound is compared here: a negative index would wrap around.
+            if u < 0 or v < 0:
                 raise ValueError(f"edge ({u}, {v}) outside 0..{m - 1}")
-            rows[u].append(ids[v])
-            rows[v].append(ids[u])
+            try:
+                rows[u].append(ids[v])
+                rows[v].append(ids[u])
+            except IndexError:
+                raise ValueError(f"edge ({u}, {v}) outside 0..{m - 1}") from None
         any(map(list.sort, rows))  # any() only drives the sorts: list.sort returns None
         indptr, indices = _flat(rows)
         del rows
         seed_u, seed_v = _seeds(ids, indptr, indices)
         # Copies of an edge (u, w) sit next to each other in row u above the
-        # cut, so a repeat is a seed whose two ends both equal the previous
+        # cut, so a repeat is a seed whose two ends both equal the next
         # seed's. Otherwise two neighbouring seeds share a higher end only
         # across a row boundary, at most once per row, so the lower ends
-        # are compared only where the higher ends are equal.
-        if any(seed_u[i] == seed_u[i - 1] for i in compress(count(1), map(eq, seed_v, islice(seed_v, 1, None)))):
+        # are compared only where `same` marks equal higher ends.
+        same = bytes(map(eq, seed_v, islice(seed_v, 1, None)))
+        i = same.find(1)
+        while i >= 0 and seed_u[i] != seed_u[i + 1]:
+            i = same.find(1, i + 1)
+        if i >= 0:
             indptr, indices = _flat([list(dict.fromkeys(indices[a:b])) for a, b in zip(indptr, islice(indptr, 1, None))])
             seed_u, seed_v = _seeds(ids, indptr, indices)
         self.m = m

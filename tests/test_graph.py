@@ -184,6 +184,7 @@ class TestConnectivityGraph:
     @example((2, [(1, 0)]))
     @example((2, [(1, 0), (0, 1), (1, 0)]))
     @example((6, [(0, 5), (1, 5), (1, 5)]))
+    @example((3, [(True, False), (2, True), (False, 2), (True, 0)]))
     def test_arrays_match_a_naive_reference(self, case):
         m, edges = case
         g = ConnectivityGraph(m, edges)
@@ -197,12 +198,21 @@ class TestConnectivityGraph:
         assert g.seed_arrays() == ((0, 1), (5, 5))
         assert flat_calls == [6, 6]
 
+    def test_repeat_found_past_several_row_boundaries(self, flat_calls):
+        # Seeds (0, 5), (1, 5), (2, 5), (3, 5), (3, 5): equal higher ends at
+        # three row boundaries before the one repeat.
+        edges = [(0, 5), (1, 5), (2, 5), (3, 5), (3, 5)]
+        g = ConnectivityGraph(6, edges)
+        assert (g.csr_arrays(), g.seed_arrays()) == reference_arrays(6, edges)
+        assert flat_calls == [6, 6]
+
     @pytest.mark.parametrize(
         "edges",
         [
             [(0, 5), (1, 5)],  # equal higher ends in neighbouring rows
             [(0, 2), (1, 2), (1, 3)],  # row 0 ends with 2 and row 1 starts with 2
             [(0, 1), (1, 2), (2, 3)],
+            [(0, 5), (1, 5), (2, 5), (3, 5)],  # equal higher ends at three row boundaries
         ],
     )
     def test_rows_built_once_without_a_repeated_edge(self, flat_calls, edges):
@@ -213,15 +223,32 @@ class TestConnectivityGraph:
     @pytest.mark.parametrize(
         "edges, message",
         [
-            ([(0, 1), (0, 1), (2, 2), (0, 9)], r"self-loop at vertex 2"),
-            ([(0, 1), (1, 0), (0, 9), (2, 2)], r"edge \(0, 9\) outside 0\.\.2"),
-            ([(2, 1), (-1, 1), (1, 1)], r"edge \(-1, 1\) outside 0\.\.2"),
-            ([(3, 3), (0, 3)], r"self-loop at vertex 3"),
+            ([(0, 1), (0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+            ([(0, 1), (1, 0), (0, 9), (2, 2)], "edge (0, 9) outside 0..2"),
+            ([(2, 1), (-1, 1), (1, 1)], "edge (-1, 1) outside 0..2"),
+            ([(3, 3), (0, 3)], "self-loop at vertex 3"),
+            # Ids of m or more, at either end, after valid edges or first.
+            ([(0, 1), (3, 0)], "edge (3, 0) outside 0..2"),
+            ([(0, 3), (-1, 0)], "edge (0, 3) outside 0..2"),
+            ([(10**30, 1)], f"edge ({10**30}, 1) outside 0..2"),
+            ([(1, 2), (1, 10**30)], f"edge (1, {10**30}) outside 0..2"),
+            ([(0, 1), (1, 2), (2, 0), (2, 3), (4, 4)], "edge (2, 3) outside 0..2"),
+            ([(True, False), (True, 3)], "edge (True, 3) outside 0..2"),
         ],
     )
     def test_first_bad_edge_in_input_order_names_the_error(self, edges, message):
-        with pytest.raises(ValueError, match=message):
-            ConnectivityGraph(3, edges)
+        for given in (edges, (edge for edge in edges)):
+            with pytest.raises(ValueError) as raised:
+                ConnectivityGraph(3, given)
+            assert str(raised.value) == message
+
+    def test_index_error_from_the_edge_iterable_passes_through(self):
+        def edges():
+            yield 0, 1
+            raise IndexError("from the caller")
+
+        with pytest.raises(IndexError, match="from the caller"):
+            ConnectivityGraph(3, edges())
 
     def test_edges_built_once(self):
         g = ConnectivityGraph(3, [(1, 2), (0, 1)])
@@ -310,12 +337,12 @@ class TestConnectivityGraph:
         # Traced bytes still allocated once the caller has dropped the list
         # of fresh ints it built a linked graph from (5,000 vertices, 10,497
         # edges). The graph that holds one int of its own per vertex keeps
-        # 802,624 on CPython 3.11.7, 3.12.1 and 3.13.0 and 764,332 on
-        # 3.10.13, measured alone; under pytest, 3.11 read up to 804,728, by
-        # which tests ran before it, and the limit adds a 7 % margin to
-        # that. The graph that held the caller's ints, up to two per edge,
-        # kept 1,402,432. Catches the stored tuples pointing at the
-        # caller's objects again.
+        # 798,144 on CPython 3.11.7, 3.12.1 and 3.13.0 and 759,852 on
+        # 3.10.13, measured alone and under pytest. The limit adds a 7 %
+        # margin to 804,728, the most 3.11 read under pytest when the rows
+        # were made by a list comprehension. The graph that held the
+        # caller's ints, up to two per edge, kept 1,402,432. Catches the
+        # stored tuples pointing at the caller's objects again.
         linked = gen_linked_graph(5000, 500, seed=1).edges
         tracemalloc.start()
         try:
@@ -332,14 +359,19 @@ class TestConnectivityGraph:
         # Traced bytes allocated while building and recognizing a linked
         # graph with 10,497 edges. The build that keeps four flat tuples and
         # builds `edges` only on access peaks while laying its rows end to
-        # end: measured alone, at 1,135,992 on CPython 3.11.7 (1.2 % under
-        # the limit), 1,135,952 on 3.12.1 and 3.13.0 and 1,097,252 on
-        # 3.10.13; under pytest, 3.11 read up to 1,140,752. The sweep and
-        # the witness check stay below that. The limit was set with a 7 %
-        # margin over 1,074,424, when the tuples held the caller's ints and
-        # this trace did not count them. The build that also made an edge
-        # tuple per edge peaked at 1,445,060. Catches `edges` being built on
-        # the linked path, or a second copy of the adjacency.
+        # end: at 1,140,432 on CPython 3.11.7 (0.8 % under the limit),
+        # 1,140,392 on 3.12.1 and 3.13.0 and 1,101,692 on 3.10.13, measured
+        # alone and under pytest. The sweep and the witness check stay
+        # below that. The 4,440 bytes above the 1,135,992 that 3.11 read
+        # when a list comprehension made the empty rows are the trace's
+        # accounting, not memory: the comprehension takes up to 80 empty
+        # lists of 56 bytes from the interpreter's free list, made before
+        # tracing started, where `list(map(list, ...))` makes every row
+        # anew. The limit was set with a 7 % margin over 1,074,424, when
+        # the tuples held the caller's ints and this trace did not count
+        # them. The build that also made an edge tuple per edge peaked at
+        # 1,445,060. Catches `edges` being built on the linked path, or a
+        # second copy of the adjacency.
         edges = list(gen_linked_graph(5000, 500, seed=1).edges)
         tracemalloc.start()
         try:
@@ -353,9 +385,10 @@ class TestConnectivityGraph:
     def test_memory_peak_of_building_a_dense_graph(self):
         # Traced bytes allocated while building K_{100,100} (10,000 edges).
         # On CPython 3.11 the build that cuts each sorted row at its owner
-        # peaks at 386,768; the limit adds a 7 % margin over 383,936. The build that
-        # made an owner list and flags over all 2|E| adjacency entries
-        # peaked at 546,361. Catches a list or copy the size of the
+        # peaks at 390,144 (386,768 when a list comprehension made the
+        # rows; see above); the limit adds a 7 % margin over 383,936. The
+        # build that made an owner list and flags over all 2|E| adjacency
+        # entries peaked at 546,361. Catches a list or copy the size of the
         # adjacency alive next to the sorted rows.
         edges = [(u, w) for u in range(100) for w in range(100, 200)]
         tracemalloc.start()
