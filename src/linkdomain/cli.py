@@ -109,7 +109,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import brute_force_linked  # here, so check never loads it
+    from .oracle import DEFAULT_CAP, brute_force_linked  # here, so check never loads it
+
+    if args.cap is None:
+        args.cap = DEFAULT_CAP
 
     def refuse_above_cap(m: int) -> None:  # as soon as the header or metadata gives m
         if m > args.cap:
@@ -157,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="compare recognition against brute force")
     oracle.add_argument("path")
     oracle.add_argument("--mode", choices=["strong", "weak"], default="strong")
-    # oracle.DEFAULT_CAP, written out so that check never loads the oracle module
-    oracle.add_argument("--cap", type=int, default=8)
+    oracle.add_argument("--cap", type=int)
     oracle.add_argument("--format", choices=["native", "soc"], default="native")
     oracle.set_defaults(func=cmd_oracle)
     return parser

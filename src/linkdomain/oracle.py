@@ -1,10 +1,10 @@
 """Brute-force references for small instances.
 
 Independent of the production path on purpose: adjacency is re-derived as
-bitmasks, orders are enumerated (with pruning) rather than grown, and the
-all-pairs variant re-implements the closure with a plain rescan loop.
-These exist to catch bugs in recognize(), so they share nothing with it
-beyond the definition of a linked order.
+bitmasks, orders are searched depth-first with each set of placed candidates
+expanded at most once, and the all-pairs variant re-implements the closure
+with a rescan loop. These exist to catch bugs in recognize(), so they share
+nothing with it beyond the definition of a linked order.
 """
 
 from itertools import combinations
@@ -13,7 +13,7 @@ from typing import Iterator
 from .errors import InstanceTooLarge
 from .graph import ConnectivityGraph
 
-DEFAULT_CAP = 8
+DEFAULT_CAP = 18
 
 
 def brute_force_linked(
@@ -22,44 +22,41 @@ def brute_force_linked(
     """Search all candidate orders for a linked one.
 
     Returns (True, lexicographically first linked order) or (False, None).
-    Prefixes die as soon as a position violates its condition, which keeps
-    exhaustive runs at m <= 8 fast; the pruning rule is the definition
-    itself, applied position by position.
+    An order grows by any unplaced candidate with at least min(len(order), 2)
+    placed neighbours, which is the definition applied position by position.
+    Whether an order completes depends only on which candidates are placed,
+    so a set found dead is never expanded again: at most 2^m * m steps.
     """
     m = graph.m
     if m > cap:
         raise InstanceTooLarge(f"brute force capped at m <= {cap}, got {m}")
-    if m == 1:
-        return True, (0,)
 
     masks = [0] * m
     for u, v in graph.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
 
-    prefix: list[int] = []
+    order: list[int] = []
+    dead: set[int] = set()
 
-    def extend(used: int) -> tuple[int, ...] | None:
-        depth = len(prefix)
-        if depth == m:
-            return tuple(prefix)
+    def extend(placed: int) -> bool:
+        if len(order) == m:
+            return True
+        if placed in dead:
+            return False
+        need = min(len(order), 2)
         for c in range(m):
             bit = 1 << c
-            if used & bit:
+            if placed & bit or (masks[c] & placed).bit_count() < need:
                 continue
-            if depth == 1 and not masks[c] & (1 << prefix[0]):
-                continue
-            if depth >= 2 and (masks[c] & used).bit_count() < 2:
-                continue
-            prefix.append(c)
-            found = extend(used | bit)
-            if found is not None:
-                return found
-            prefix.pop()
-        return None
+            order.append(c)
+            if extend(placed | bit):
+                return True
+            order.pop()
+        dead.add(placed)
+        return False
 
-    order = extend(0)
-    return (True, order) if order is not None else (False, None)
+    return (True, tuple(order)) if extend(0) else (False, None)
 
 
 def linked_via_all_pair_seeds(graph: ConnectivityGraph) -> bool:

@@ -224,7 +224,7 @@ class TestOracle:
 
     def test_cap_exceeded(self, tmp_path, capsys):
         profile = tmp_path / "big.profile"
-        assert main(["gen", "--model", "ic", "--candidates", "12", "--votes", "3",
+        assert main(["gen", "--model", "ic", "--candidates", "20", "--votes", "3",
                      "--out", str(profile)]) == 0
         assert main(["oracle", str(profile)]) == 2
 
@@ -234,8 +234,8 @@ class TestOracle:
         assert main(["oracle", str(path), "--format", "soc"]) == 0
 
     @pytest.mark.parametrize("fmt, head", [
-        ("native", "candidates: a, b, c, d, e, f, g, h, i\n"),
-        ("soc", "# NUMBER ALTERNATIVES: 9\n"),
+        ("native", "candidates: " + ", ".join(f"c{i}" for i in range(19)) + "\n"),
+        ("soc", "# NUMBER ALTERNATIVES: 19\n"),
     ])
     def test_cap_refuses_at_the_header(self, tmp_path, monkeypatch, capsys, fmt, head):
         """The cap error comes as soon as the header gives m: the malformed
@@ -244,12 +244,16 @@ class TestOracle:
         path = tmp_path / "p"
         path.write_bytes(head.encode() + b"no colon here\n" + b"\xff" * 64 + b"\n")
         assert main(["oracle", str(path), "--format", fmt]) == 2
-        assert capsys.readouterr().err == "error: profile has 9 candidates, oracle capped at 8\n"
+        assert capsys.readouterr().err == "error: profile has 19 candidates, oracle capped at 18\n"
 
-    def test_cap_defaults_to_the_oracle_cap(self):
+    def test_cap_defaults_to_the_oracle_cap(self, tmp_path, capsys):
         from linkdomain.oracle import DEFAULT_CAP
 
-        assert cli.build_parser().parse_args(["oracle", "p"]).cap == DEFAULT_CAP == 8
+        path = tmp_path / "p.soc"
+        path.write_text(f"# NUMBER ALTERNATIVES: {DEFAULT_CAP + 1}\n")
+        assert main(["oracle", str(path), "--format", "soc"]) == 2
+        want = f"error: profile has {DEFAULT_CAP + 1} candidates, oracle capped at {DEFAULT_CAP}\n"
+        assert capsys.readouterr().err == want
 
     def test_streams_the_profile_as_check_does(self, k3_path, tmp_path, monkeypatch, capsys):
         def whole_read(data):

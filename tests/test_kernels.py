@@ -277,6 +277,21 @@ def windmill2(k: int) -> ConnectivityGraph:
     return ConnectivityGraph(2 * k + 2, edges)
 
 
+def windmill_k4(k: int) -> ConnectivityGraph:
+    """A windmill of K4 blades: {r, a_i, b_i, c_i} is a K4, and c_i - r' an edge.
+
+    Not linked; each seed (r, a_i) sticks at its four-vertex blade, the
+    hub r among them. Labels: r = 0, a_i = 3i + 1, b_i = 3i + 2,
+    c_i = 3i + 3, r' = 3k + 1.
+    """
+    r, r2 = 0, 3 * k + 1
+    edges = []
+    for i in range(k):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(r, a), (r, b), (r, c), (a, b), (a, c), (b, c), (c, r2)]
+    return ConnectivityGraph(3 * k + 2, edges)
+
+
 def complete_bipartite(n: int) -> ConnectivityGraph:
     return ConnectivityGraph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
 
@@ -312,8 +327,7 @@ class CountingList(list):
         return value
 
 
-def _windmill_entries_read(k: int) -> int:
-    g = windmill2(k)
+def _entries_read(g: ConnectivityGraph) -> int:
     indptr, indices = g.csr_arrays()
     counting = CountingList(indices)
     seed_u, seed_v = g.seed_arrays()
@@ -326,7 +340,16 @@ def test_windmill_adjacency_reads_grow_linearly():
     # A sweep that scans the hub r for every seed reads Θ(k²) entries: 64x
     # from k=1000 to k=8000. Masks keep it to the light ends and one read
     # of each heavy adjacency.
-    small, large = _windmill_entries_read(1000), _windmill_entries_read(8000)
+    small, large = _entries_read(windmill2(1000)), _entries_read(windmill2(8000))
+    assert large <= 8 * small * 1.1, (small, large)
+
+
+def test_k4_windmill_adjacency_reads_grow_linearly():
+    # Here every stuck set holds the hub r and is larger than a triangle.
+    # The sweep reads 55,000 and 440,000 entries at k=1000 and k=8000; a
+    # sweep that recorded each stuck set by scanning its members' rows read
+    # r's row once per blade, 3,055,000 and 192,440,000.
+    small, large = _entries_read(windmill_k4(1000)), _entries_read(windmill_k4(8000))
     assert large <= 8 * small * 1.1, (small, large)
 
 

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -9,10 +10,12 @@ from linkdomain import (
     NotAPermutation,
     brute_force_linked,
     enumerate_graphs,
+    gen_pendant_clique,
     linked_via_all_pair_seeds,
     recognize,
     verify_witness,
 )
+from linkdomain.oracle import DEFAULT_CAP
 
 from strategies import graphs
 
@@ -29,7 +32,7 @@ class TestBruteForce:
 
     def test_cap(self):
         with pytest.raises(InstanceTooLarge):
-            brute_force_linked(ConnectivityGraph(9, []))
+            brute_force_linked(ConnectivityGraph(DEFAULT_CAP + 1, []))
         with pytest.raises(InstanceTooLarge):
             brute_force_linked(K3, cap=2)
 
@@ -50,11 +53,23 @@ class TestBruteForce:
         assert verdict == (naive is not None)
         assert witness == naive  # both lexicographically first
 
-    @given(graphs())
+    @given(graphs(max_m=12))
     def test_witness_passes_verification(self, g):
         verdict, witness = brute_force_linked(g)
+        assert verdict == recognize(g).linked
         if verdict:
             assert verify_witness(g, witness)
+
+    def test_pendant_clique_envelope(self):
+        # Every order of the 13-clique is a linked prefix that the pendant
+        # cannot complete: about 13! orders for a search that re-expands
+        # them, 2^13 sets for one that remembers the dead ones.
+        g = gen_pendant_clique(14)
+        start = time.process_time()
+        verdict = brute_force_linked(g)
+        elapsed = time.process_time() - start
+        assert verdict == (False, None)
+        assert elapsed < 1.0, f"pendant clique m=14 took {elapsed:.3f} s"
 
 
 class TestAllPairSeeds:
