@@ -25,7 +25,8 @@ def brute_force_linked(
     An order grows by any unplaced candidate with at least min(len(order), 2)
     placed neighbours, which is the definition applied position by position.
     Whether an order completes depends only on which candidates are placed,
-    so a set found dead is never expanded again: at most 2^m * m steps.
+    so a set found dead is never expanded again: at most 2^m * m steps. The
+    search keeps its own stack, so it reaches any depth up to cap.
     """
     m = graph.m
     if m > cap:
@@ -38,25 +39,25 @@ def brute_force_linked(
 
     order: list[int] = []
     dead: set[int] = set()
-
-    def extend(placed: int) -> bool:
-        if len(order) == m:
-            return True
-        if placed in dead:
-            return False
+    placed = 0
+    tries = [0]  # per position being filled, the first candidate not yet tried there
+    while len(order) < m:
         need = min(len(order), 2)
-        for c in range(m):
-            bit = 1 << c
-            if placed & bit or (masks[c] & placed).bit_count() < need:
-                continue
+        c = tries[-1]
+        while c < m and (placed >> c & 1 or (masks[c] & placed).bit_count() < need or placed | 1 << c in dead):
+            c += 1
+        if c < m:
+            tries[-1] = c + 1
+            tries.append(0)
             order.append(c)
-            if extend(placed | bit):
-                return True
-            order.pop()
-        dead.add(placed)
-        return False
-
-    return (True, tuple(order)) if extend(0) else (False, None)
+            placed |= 1 << c
+        else:  # no candidate completes this placed set
+            dead.add(placed)
+            tries.pop()
+            if not order:
+                return False, None
+            placed ^= 1 << order.pop()
+    return True, tuple(order)
 
 
 def linked_via_all_pair_seeds(graph: ConnectivityGraph) -> bool:

@@ -18,9 +18,10 @@ VOTERS`` are recognized, other keys ignored) followed by data lines
 incomplete orders are rejected as UnsupportedProfile.
 
 parse_native and parse_preflib_soc return the whole Election, read by one
-line loop for both formats (lines()). A format gives the loop only two
-steps: how it reads a line that is not a ranking line (comments, the
-header, metadata), and how it reads a ranking that is not written plainly.
+line loop for both formats (lines()) in the lists scan_profile takes. A
+format gives the loop only two steps: how it reads a line that is not a
+ranking line (comments, the header, metadata), and how it reads a ranking
+that is not written plainly.
 scan_profile reads a profile file in chunks, each cut after its last line
 break of one kind (_line_lists()), and keeps only what the connectivity
 graph needs, so `check` runs in memory bounded by the candidate count
@@ -39,7 +40,7 @@ graphio.
 """
 
 import re
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import itemgetter, not_, sub
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -58,7 +59,7 @@ MAX_DIGITS = 4300  # the longest decimal string int() converts by default
 MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices (graphio), accepted
 
 _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
-_CACHE_LIMIT = 4096  # the misses in a row, or the size, at which a reader's caches stop growing
+_CACHE_LIMIT = 4096  # a reader cache's size limit, which a ranking cache passes only in a list that hit it
 _BATCH_LINES = 1000  # a reader's batch() takes at most this many lines at once
 _BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 64 bits
 
@@ -122,10 +123,15 @@ def _line_lists(file: BinaryIO) -> Iterator[list[str]]:
         except UnicodeDecodeError as exc:
             raise _invalid_utf8(exc, newlines) from None
         newlines += piece.count(b"\n")
-        for start in range(0, len(lines), _BATCH_LINES):
-            yield lines[start:start + _BATCH_LINES]
+        yield from _lists(lines)
         if not data:
             return
+
+
+def _lists(lines: list[str]) -> Iterator[list[str]]:
+    """The lines in lists of at most _BATCH_LINES, as every reader takes them."""
+    for start in range(0, len(lines), _BATCH_LINES):
+        yield lines[start:start + _BATCH_LINES]
 
 
 def _decimal(digits: str) -> int | None:
@@ -176,7 +182,6 @@ class _Reader:
         self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
         self.counts: dict[str, int] = {}  # count field -> count
         self.texts: dict[str, int] = {}  # ranking text -> its code, (1 << first) - (1 << second) of its ids
-        self.known_misses = 0  # lines in a row that missed known
         self.bits: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> 1 << id
         self.pairs: dict[int, tuple[int, int]] = {}  # code -> top pair
 
@@ -187,11 +192,10 @@ class _Reader:
         by token; any other goes through exact_ids(), which raises for a
         malformed text and gives its ids, or None to drop the line. The ids
         of a text are cached, so a later line with the same text skips both
-        and shares one tuple; the cache stops growing after _CACHE_LIMIT
-        misses in a row, and starts again at the next hit."""
+        and shares one tuple; the cache takes a new text while it holds
+        fewer than _CACHE_LIMIT, or once the list has hit it."""
         m, tokens, known, counts, sep = self.m, self.tokens, self.known, self.counts, self.sep
-        votes, known_misses = self.votes, self.known_misses
-        line_no = self.line_no
+        votes, line_no, hit = self.votes, self.line_no, False
         for line_no, raw in enumerate(lines, start=line_no + 1):
             line = raw.strip()
             if not line:
@@ -218,14 +222,13 @@ class _Reader:
                     ids = self.exact_ids(text, line_no)
                     if ids is None:
                         continue
-                if known_misses < _CACHE_LIMIT:
+                if hit or len(known) < _CACHE_LIMIT:
                     known[text] = ids
-                known_misses += 1
             else:
-                known_misses = 0
+                hit = True
             votes += count
             yield ids, count
-        self.line_no, self.votes, self.known_misses = line_no, votes, known_misses
+        self.line_no, self.votes = line_no, votes
 
     def declare_m(self, m: int) -> None:
         """Records the candidate count a header or metadata line gives."""
@@ -261,22 +264,17 @@ class _Reader:
         Python statements per line. It vouches for a list only when it can
         show that lines() accepts every line with the same ids:
 
-        - each line splits at its first ':' into a count field, which the
-          loop has cached or which is a positive integer in ASCII digits,
-          and a ranking text. The lines, each followed by a "\n" marker,
-          split at ':' into count fields, texts and markers in turn when
-          every line holds exactly one ':', which the k markers at every
-          third place show; else each line is partitioned at its first ':';
+        - each line is '<count>:<text>' with exactly one ':', which the k
+          "\n" markers at every third place of the split show;
+        - each count field is in the loop's cache or read_count() reads it;
         - each text is in the cache of texts seen valid, or is m
           tokens joined by sep, each in the token map (maybe after one
           space, as after ':' or after sep), with m distinct ids (see
-          _codes()).
+          _codes()), which is the one rule checked here in bulk.
 
-        No count field it takes starts with whitespace and no token ends
-        with it, so a line with surrounding whitespace is never vouched for.
-        The text cache takes a list's misses while it holds fewer than
-        _CACHE_LIMIT texts, or when the list had a hit. lines() alone raises
-        and records violations."""
+        No token ends with whitespace, so a line with trailing whitespace is
+        never vouched for. The text cache takes new texts as the loop's
+        does. lines() alone raises and records violations."""
         m, k = self.m, len(lines)
         if not self.bits:
             if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
@@ -290,21 +288,14 @@ class _Reader:
         # holds exactly one ':'.
         fields = ":\n:".join(lines).split(":")
         fields.append("\n")
-        if len(fields) == 3 * k and fields[2::3].count("\n") == k:
-            heads, texts = fields[::3], fields[1::3]
-        else:
-            # A line without ':' gives the empty text, which has no separator.
-            heads, _, texts = zip(*map(str.partition, lines, repeat(":")))
+        if len(fields) != 3 * k or fields[2::3].count("\n") != k:
+            return None
+        heads, texts = fields[::3], fields[1::3]
         counts = list(map(self.counts.get, heads))
         if not all(counts):
-            # what read_count makes of a count field of plain digits
-            fields = list(compress(heads, map(not_, counts)))
-            if not (all(map(str.isascii, fields)) and all(map(str.isdigit, fields))):
-                return None
-            if max(map(len, fields)) > MAX_DIGITS:
-                return None
-            counts = list(filter(None, counts)) + list(map(int, fields))
-            if not all(counts):
+            try:  # the line loop raises the error, at its line
+                counts = [count or self.read_count(head, head, 0) for count, head in zip(counts, heads)]
+            except ProfileSyntaxError:
                 return None
         codes = list(map(self.texts.get, texts))  # no code is 0: the top two ids differ
         if not all(codes):
@@ -389,7 +380,7 @@ class _NativeReader(_Reader):
 def parse_native(text: str | bytes) -> Election:
     """Parse the native profile format into a validated Election."""
     reader = _NativeReader()
-    votes = list(reader.lines(_decode(text).splitlines()))
+    votes = list(chain.from_iterable(map(reader.lines, _lists(_decode(text).splitlines()))))
     reader.finish()
     return make_election(reader.names, votes, reader.violations)
 
@@ -526,7 +517,7 @@ def parse_preflib_soc(text: str | bytes) -> Election:
     itself.
     """
     reader = _SocReader()
-    rows = list(reader.lines(_decode(text).splitlines()))
+    rows = list(chain.from_iterable(map(reader.lines, _lists(_decode(text).splitlines()))))
     reader.finish()
     if reader.replay:
         rows = list(reader.by_name(rows))
@@ -542,14 +533,15 @@ def scan_profile(
 
     The lines are taken in lists of up to _BATCH_LINES (_line_lists()).
     Once the header (or NUMBER ALTERNATIVES) is read, with 2 to _BATCH_MAX_M
-    candidates, a list of plainly written valid rankings gives its top
-    pairs, and the reader its vote total, through the reader's batch() at
-    once. Every other list goes through the line loop of parse_native or
-    parse_preflib_soc, which decides every error, so this accepts exactly
-    the profiles those accept, and fails on the others with the same error.
-    Memory is O(m^2) plus the ranking caches, two chunks and the tokens of
-    one list. The caches take new rankings again after any hit, so a few
-    repeats among new rankings grow them with the file (ROADMAP item 3).
+    candidates, a list of '<count>:<text>' lines with plainly written valid
+    rankings gives its top pairs, and the reader its vote total, through the
+    reader's batch() at once. Every other list goes through the line loop of
+    parse_native or parse_preflib_soc, which decides every error, so this
+    accepts exactly the profiles those accept, and fails on the others with
+    the same error. Memory is O(m^2) plus the ranking caches, two chunks and
+    the tokens of one list. Past _CACHE_LIMIT, a cache takes new rankings
+    only in a list that hit it, so a few repeats among new rankings still
+    grow it with the file (ROADMAP item 3).
     A soc file whose rows must be read again by
     name (see parse_preflib_soc) is streamed a second time through a fresh
     reader's line loop, keeping only the top pairs; a soc file that cannot

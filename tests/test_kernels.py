@@ -16,11 +16,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linkdomain import (
     ConnectivityGraph,
+    brute_force_linked,
     gen_pendant_clique,
     gen_random_graph,
     greedy_closure,
@@ -28,6 +29,7 @@ from linkdomain import (
     recognize,
     verify_witness,
 )
+from linkdomain.oracle import DEFAULT_CAP
 
 from strategies import graphs_with_edges
 
@@ -247,6 +249,75 @@ def test_stuck_triangles_subsume_their_other_edges(k, heavy):
     assert bool(heavy_vertices(g)) == heavy
     assert run(g) == (-1, [3, 0, 0] * k)
     assert_matches_ordered_closure(g)
+
+
+def triangle_classes(g) -> tuple[set[tuple[int, int]], int]:
+    """(the edges in a triangle, the number of triangle classes): a naive
+    union-find that joins the three edges of each triangle."""
+    parent = {e: e for e in g.edges}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    in_triangle = set()
+    for a, b in g.edges:
+        for c in set(g.neighbors(a)) & set(g.neighbors(b)):
+            if c > b:  # each triangle a < b < c once
+                root = find((a, b))
+                parent[find((a, c))] = root
+                parent[find((b, c))] = root
+                in_triangle |= {(a, b), (a, c), (b, c)}
+    return in_triangle, len({find(e) for e in in_triangle})
+
+
+@settings(max_examples=200)
+@given(graphs_with_edges(min_m=3, max_m=12))
+def test_not_linked_sweep_runs_at_most_one_seed_per_triangle_class(g):
+    # Only the filter writes 2, and it cuts exactly the edges in no
+    # triangle; each other edge is run or skipped. A closure that holds an
+    # edge holds its whole triangle class (the third vertex of a triangle
+    # has two neighbours in it), and the stuck set it records subsumes the
+    # class's later seeds.
+    winner, sizes = run(g)
+    assume(winner < 0)
+    in_triangle, classes = triangle_classes(g)
+    runs = sum(size > 2 for size in sizes)
+    assert sizes.count(2) == len(g.edges) - len(in_triangle)
+    assert sizes.count(0) + runs == len(in_triangle)
+    assert runs <= classes
+
+
+def tower(k: int) -> ConnectivityGraph:
+    """The tower T_k: K4 on 0..3, then k levels x, y, z = 3i+1, 3i+2, 3i+3,
+    each a triangle with edges xp, yp and zq to the level below, whose x
+    and y are p and q (0 and 1 for the K4). Linked, with 2m - 2 edges."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    p, q = 0, 1
+    for i in range(1, k + 1):
+        x, y, z = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(x, y), (x, z), (y, z), (p, x), (p, y), (q, z)]
+        p, q = x, y
+    return ConnectivityGraph(3 * k + 4, edges)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 250])
+def test_tower_runs_one_closure_per_level(k):
+    # Seed (0, 1) sticks at the K4, and the seed from each level's x to the
+    # next level's x covers every level up to the latter, then sticks below
+    # the next: k + 1 closures of sizes 4, 7, ..., 3k + 4, whose sum is
+    # quadratic in m although m + |E| is linear in k.
+    g = tower(k)
+    assert len(g.edges) == 2 * g.m - 2
+    winner, sizes = run(g)
+    xs = [0] + [3 * i + 1 for i in range(1, k + 1)]
+    runs = [(g.edges[s], size) for s, size in enumerate(sizes) if size > 2]
+    assert runs == [((0, 1), 4)] + [((xs[i - 1], xs[i]), 3 * i + 4) for i in range(1, k + 1)]
+    assert winner == g.edges.index((xs[-2], xs[-1]))
+    assert recognize(g).linked
+    if g.m <= DEFAULT_CAP:
+        assert brute_force_linked(g)[0]
 
 
 def test_sweep_handles_no_seeds():

@@ -71,6 +71,16 @@ class TestBruteForce:
         assert verdict == (False, None)
         assert elapsed < 1.0, f"pendant clique m=14 took {elapsed:.3f} s"
 
+    def test_deep_search_keeps_its_own_stack(self):
+        # Every order places all 1,200 candidates, deeper than Python's
+        # default recursion limit of 1,000 calls.
+        m = 1200
+        g = ConnectivityGraph(m, [(i, j) for i in range(m) for j in (i + 1, i + 2) if j < m])
+        verdict, witness = brute_force_linked(g, cap=m)
+        assert verdict
+        assert witness == tuple(range(m))
+        assert verify_witness(g, witness)
+
 
 class TestAllPairSeeds:
     def test_path_floods_from_non_edge_but_is_not_linked(self):

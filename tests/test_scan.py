@@ -217,18 +217,16 @@ def test_batch_step_takes_every_list_after_the_first(monkeypatch, fmt, m, weight
         assert sum(size for _, _, size in seen) == len(head) + len(body)
 
 
-def test_names_with_colons_keep_the_batch_step(monkeypatch):
-    """A ranking line over names that hold ':' splits at its first ':' in
-    the batch step too, so its lists do not fall back to the line loop."""
+def test_names_with_colons_scan_as_parsed():
+    """A ranking line over names that hold ':' holds more than one ':', so
+    its list goes to the line loop, which splits it at its first ':'."""
     rng = random.Random(5)
     names = ["a:b", "c d", "e", "f::g"]
     body = [f"{rng.choice((1, 2, 13))}: " + " > ".join(rng.sample(names, 4)) + "\n" for _ in range(2000)]
     data = ("candidates: " + ", ".join(names) + "\n" + "".join(body)).encode()
     want = expected("native", data)
     assert want[0] == "ok"
-    seen = _line_loop_spy(monkeypatch, "native")
     assert scanned("native", data) == want
-    assert [entry[1] for entry in seen] == [0]  # the first list, which holds the header
 
 
 @pytest.mark.parametrize("tail", ["# ALTERNATIVE NAME 1: z\n", "# NUMBER VOTERS: 1\n"])
@@ -420,9 +418,25 @@ def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
     # spaced texts always go through resolve_ranking when they miss the cache
     texts = ["a>b>c", "b>a>c", "c>b>a", "a>b>c", "c>b>a", "c>b>a", "a>b>c"]
     e = parse_native("candidates: a, b, c\n" + "".join(f"1: {t}\n" for t in texts))
-    # the third miss in a row is not cached; the hit that follows lets it in
+    # the third miss finds the cache full; the hit that follows lets it in
     assert [",".join(r) for r in calls] == ["a,b,c", "b,a,c", "c,b,a", "c,b,a"]
     assert len(e.votes) == len(texts)
+
+
+def test_full_ranking_cache_takes_misses_only_after_a_hit_in_their_list(monkeypatch):
+    # The parser reads lists of 4 lines, the header first. The first list
+    # fills the cache with a and b and leaves c out. The second hits a
+    # first, so the cache takes all of its misses; the third takes only h,
+    # the miss after its hit.
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 2)
+    monkeypatch.setattr(profiles, "_BATCH_LINES", 4)
+    readers = _readers(monkeypatch)
+    a, b, c, d, e, f, g, h = "abcd", "bacd", "cbad", "dcba", "acbd", "bdca", "cadb", "dabc"
+    texts = [a, b, c, a, d, e, f, g, a, h]
+    parsed = parse_native("candidates: a, b, c, d\n" + "".join(f"1: {'>'.join(t)}\n" for t in texts))
+    (reader,) = readers
+    assert [text.replace(">", "").strip() for text in reader.known] == [a, b, d, e, f, h]
+    assert len(parsed.votes) == len(texts)
 
 
 @pytest.mark.parametrize(
