@@ -59,7 +59,9 @@ MAX_DIGITS = 4300  # the longest decimal string int() converts by default
 MAX_VERTICES = 1_000_000  # the most soc alternatives, or edge-list vertices (graphio), accepted
 
 _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
-_CACHE_LIMIT = 4096  # a reader cache's size limit, which a ranking cache passes only in a list that hit it
+# A reader cache's size limit. A ranking cache passes it only in a list that
+# hit it, and a miss that finds one full before its first hit drops it for good.
+_CACHE_LIMIT = 4096
 _BATCH_LINES = 1000  # a reader's batch() takes at most this many lines at once
 _BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 64 bits
 
@@ -179,11 +181,12 @@ class _Reader:
         self.m: int | None = None  # the candidate count, once read
         self.line_no = self.row_no = self.votes = 0  # lines, ranking lines and votes read
         self.tokens: dict[str, int] = {}  # token -> id, for the tokens of a plainly written ranking
-        self.known: dict[str, Vote] = {}  # ranking text -> ids of a valid ranking
+        self.known: dict[str, Vote] | None = {}  # ranking text -> ids of a valid ranking
         self.counts: dict[str, int] = {}  # count field -> count
-        self.texts: dict[str, int] = {}  # ranking text -> its code, (1 << first) - (1 << second) of its ids
+        self.texts: dict[str, int] | None = {}  # ranking text -> its code, (1 << first) - (1 << second) of its ids
+        self.known_hit = self.texts_hit = False  # whether each ranking cache (None once dropped) has hit
         self.bits: dict[str, int] = {}  # batch()'s tokens, maybe after a space, -> 1 << id
-        self.pairs: dict[int, tuple[int, int]] = {}  # code -> top pair
+        self.found: set[int] = set()  # the codes of the texts in the lists batch() vouched for
 
     def lines(self, lines: list[str]) -> Iterator[tuple[Vote, int]]:
         """Each non-blank line that other_line() does not take is a ranking
@@ -193,7 +196,9 @@ class _Reader:
         malformed text and gives its ids, or None to drop the line. The ids
         of a text are cached, so a later line with the same text skips both
         and shares one tuple; the cache takes a new text while it holds
-        fewer than _CACHE_LIMIT, or once the list has hit it."""
+        fewer than _CACHE_LIMIT, or once the list has hit it. A miss that
+        finds it full before it has ever hit drops it: no later line looks
+        a text up or caches it."""
         m, tokens, known, counts, sep = self.m, self.tokens, self.known, self.counts, self.sep
         votes, line_no, hit = self.votes, self.line_no, False
         for line_no, raw in enumerate(lines, start=line_no + 1):
@@ -208,7 +213,7 @@ class _Reader:
                 raise ProfileSyntaxError(f"expected '<count>: {self.form}'", line=line_no, column=1)
             count = counts.get(count_part) or self.read_count(count_part, raw, line_no)  # counts are >= 1
             self.row_no += 1  # on the reader, where both hooks read it
-            ids = known.get(text)
+            ids = known.get(text) if known else None
             if ids is None:
                 parts = text.lstrip().split(sep)
                 if len(parts) == m:
@@ -222,13 +227,17 @@ class _Reader:
                     ids = self.exact_ids(text, line_no)
                     if ids is None:
                         continue
-                if hit or len(known) < _CACHE_LIMIT:
-                    known[text] = ids
+                if known is not None:
+                    if hit or len(known) < _CACHE_LIMIT:
+                        known[text] = ids
+                    elif not self.known_hit:  # full before its first hit: dropped for good
+                        known = self.known = None
             else:
                 hit = True
             votes += count
             yield ids, count
         self.line_no, self.votes = line_no, votes
+        self.known_hit = self.known_hit or hit
 
     def declare_m(self, m: int) -> None:
         """Records the candidate count a header or metadata line gives."""
@@ -256,9 +265,10 @@ class _Reader:
             self.counts[field] = count
         return count
 
-    def batch(self, lines: list[str]) -> set[tuple[int, int]] | None:
-        """The top pairs of a non-empty list of lines, with the counters
-        advanced as lines() would advance them, or None, leaving the list to
+    def batch(self, lines: list[str]) -> bool:
+        """Whether it vouches for a non-empty list of lines. If it does, the
+        counters are advanced as lines() would advance them and the codes of
+        the list's top pairs are in found; if not, the list is left to
         lines(). Once the candidate count (2 to _BATCH_MAX_M) and the token
         map are known, it takes C-level built-ins over whole lists instead of
         Python statements per line. It vouches for a list only when it can
@@ -273,15 +283,17 @@ class _Reader:
           _codes()), which is the one rule checked here in bulk.
 
         No token ends with whitespace, so a line with trailing whitespace is
-        never vouched for. The text cache takes new texts as the loop's
-        does. lines() alone raises and records violations."""
+        never vouched for. The text cache follows the loop's rule, with the
+        lookups of a whole list made before its misses are cached: once
+        dropped, every text goes to _codes(). A cached text's code went into
+        found when the text was cached, so only the misses add to it.
+        lines() alone raises and records violations."""
         m, k = self.m, len(lines)
         if not self.bits:
             if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
-                return None
+                return False
             bits = {token: 1 << i for token, i in self.tokens.items()}
             self.bits = bits | {" " + token: bit for token, bit in bits.items()} | {"\n": 0}  # "\n": _codes's marker
-            self.pairs = {(1 << a) - (1 << b): (a, b) for a in range(m) for b in range(m) if a != b}
         # The lines, each followed by a "\n" marker, split into count fields,
         # texts and markers in turn. A line holds no "\n", so a "\n" field
         # is a marker, and k of them at every third place show that each line
@@ -289,29 +301,34 @@ class _Reader:
         fields = ":\n:".join(lines).split(":")
         fields.append("\n")
         if len(fields) != 3 * k or fields[2::3].count("\n") != k:
-            return None
+            return False
         heads, texts = fields[::3], fields[1::3]
         counts = list(map(self.counts.get, heads))
         if not all(counts):
             try:  # the line loop raises the error, at its line
                 counts = [count or self.read_count(head, head, 0) for count, head in zip(counts, heads)]
             except ProfileSyntaxError:
-                return None
-        codes = list(map(self.texts.get, texts))  # no code is 0: the top two ids differ
-        if not all(codes):
-            new = list(compress(texts, map(not_, codes)))
-            new_codes = self._codes(new)
-            if new_codes is None:
-                return None
-            if len(self.texts) < _CACHE_LIMIT or any(codes):
-                self.texts.update(zip(new, new_codes))
-            codes += new_codes
-        found = set(codes)
-        found.discard(None)
+                return False
+        cache = self.texts
+        if cache is not None:
+            codes = list(map(cache.get, texts))  # no code is 0: the top two ids differ
+            hit = any(codes)
+            self.texts_hit = self.texts_hit or hit
+            texts = [] if all(codes) else list(compress(texts, map(not_, codes)))  # the misses
+        if texts:
+            codes = self._codes(texts)
+            if codes is None:
+                return False
+            self.found.update(codes)
+            if cache is not None:
+                if hit or len(cache) < _CACHE_LIMIT:
+                    cache.update(zip(texts, codes))
+                elif not self.texts_hit:  # full before its first hit: dropped for good
+                    self.texts = None
         self.line_no += k
         self.row_no += k
         self.votes += sum(counts)
-        return set(map(self.pairs.__getitem__, found))
+        return True
 
     def _codes(self, texts: list[str]) -> list[int] | None:
         """(1 << first) - (1 << second) for the ids of each text, its code,
@@ -534,14 +551,16 @@ def scan_profile(
     The lines are taken in lists of up to _BATCH_LINES (_line_lists()).
     Once the header (or NUMBER ALTERNATIVES) is read, with 2 to _BATCH_MAX_M
     candidates, a list of '<count>:<text>' lines with plainly written valid
-    rankings gives its top pairs, and the reader its vote total, through the
-    reader's batch() at once. Every other list goes through the line loop of
-    parse_native or parse_preflib_soc, which decides every error, so this
-    accepts exactly the profiles those accept, and fails on the others with
-    the same error. Memory is O(m^2) plus the ranking caches, two chunks and
-    the tokens of one list. Past _CACHE_LIMIT, a cache takes new rankings
-    only in a list that hit it, so a few repeats among new rankings still
-    grow it with the file (ROADMAP item 3).
+    rankings gives the codes of its top pairs, and the reader its vote
+    total, through the reader's batch() at once; the codes are mapped to
+    pairs once, after the last list. Every other list goes through the line
+    loop of parse_native or parse_preflib_soc, which decides every error, so
+    this accepts exactly the profiles those accept, and fails on the others
+    with the same error. Memory is O(m^2) plus the ranking caches, two
+    chunks and the tokens of one list. A ranking cache that a miss finds
+    full before its first hit is dropped; past _CACHE_LIMIT, one that has
+    hit takes new rankings only in a list that hit it, so a few repeats
+    among new rankings still grow it with the file (ROADMAP item 3).
     A soc file whose rows must be read again by
     name (see parse_preflib_soc) is streamed a second time through a fresh
     reader's line loop, keeping only the top pairs; a soc file that cannot
@@ -576,11 +595,8 @@ def _scan(
     lists = _line_lists(file)
     try:
         for lines in lists:
-            found = reader.batch(lines)
-            if found is None:
+            if not reader.batch(lines):
                 tops.update(ids[:2] for ids, _ in reader.lines(lines))
-            else:
-                tops |= found
         reader.finish()
     except ProfileError:
         for _ in lists:  # invalid UTF-8 anywhere fails first, as it does in parse_*
@@ -590,6 +606,10 @@ def _scan(
         file.seek(start)
         rows = chain.from_iterable(map(_SocReader().lines, _line_lists(file)))
         tops = {ids[:2] for ids, _ in reader.by_name(rows)}
+    elif reader.found:  # batch()'s codes, each (1 << first) - (1 << second), mapped to pairs once
+        m = reader.m
+        pairs = {(1 << a) - (1 << b): (a, b) for a in range(m) for b in range(m) if a != b}
+        tops.update(map(pairs.__getitem__, reader.found))
     if reader.violations:
         raise InvalidElection(reader.violations)
     return ProfileScan(tuple(reader.names), reader.votes, frozenset(tops) if len(reader.names) > 1 else frozenset())

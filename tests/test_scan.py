@@ -371,18 +371,44 @@ def _readers(monkeypatch) -> list:
     return readers
 
 
-def _cached_texts(monkeypatch, lines: list[str]) -> list[str]:
-    """The batch text cache of the reader that scanned the native profile
-    of these lines, with caches limited to 100, and lists cut every
-    _BATCH_LINES lines."""
+class _Lookups(dict):
+    """A ranking cache that counts its lookups."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def _text_caches(monkeypatch) -> list:
+    """(reader, its batch text cache, counting its lookups) for every reader
+    made from now on, in the order they are made. The cache is kept here
+    after its reader drops it."""
+    caches = []
+    init = profiles._Reader.__init__
+
+    def counted(reader):
+        init(reader)
+        reader.texts = _Lookups()
+        caches.append((reader, reader.texts))
+
+    monkeypatch.setattr(profiles._Reader, "__init__", counted)
+    return caches
+
+
+def _cached_texts(monkeypatch, lines: list[str]) -> tuple[bool, list[str]]:
+    """Whether the reader that scanned the native profile of these lines,
+    with caches limited to 100 and lists cut every _BATCH_LINES lines, kept
+    its batch text cache, and the texts that cache took."""
     monkeypatch.setattr(profiles, "_CACHE_LIMIT", 100)
     monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 22)  # one list of lines, cut every _BATCH_LINES
     data = ("\n".join(lines) + "\n").encode()
     want = expected("native", data)
-    readers = _readers(monkeypatch)
+    caches = _text_caches(monkeypatch)
     assert scanned("native", data) == want
-    (reader,) = readers
-    return list(reader.texts)
+    ((reader, cache),) = caches
+    return reader.texts is cache, list(cache)
 
 
 def test_text_cache_stops_growing_at_its_limit(monkeypatch):
@@ -390,11 +416,11 @@ def test_text_cache_stops_growing_at_its_limit(monkeypatch):
     header, *rankings = _no_repeat_profile(1000).decode().splitlines()
     # The line loop reads the header and 59 rankings. The cache holds fewer
     # than 100 texts before each of the next two lists of 60, which all
-    # miss, so it takes both; then it holds 120 and takes none of the other
-    # lists, which all miss too.
-    cached = _cached_texts(monkeypatch, [header, *rankings])
+    # miss, so it takes both; then the next list finds it holding 120,
+    # misses it throughout, and drops it, since it never hit.
+    kept, cached = _cached_texts(monkeypatch, [header, *rankings])
+    assert not kept
     assert cached == [line.partition(":")[2] for line in rankings[59:179]]
-    assert len(cached) <= 100 + 60 - 1
 
 
 def test_text_cache_past_its_limit_takes_the_misses_of_a_list_with_a_hit(monkeypatch):
@@ -407,35 +433,53 @@ def test_text_cache_past_its_limit_takes_the_misses_of_a_list_with_a_hit(monkeyp
     hit_list = [*rankings[1999:2498], rankings[999], *rankings[2498:2998]]
     lines = [header, *rankings[:1999], *hit_list, *rankings[2998:3999]]
     cached = rankings[999:2998]
-    assert _cached_texts(monkeypatch, lines) == [line.partition(":")[2] for line in cached]
+    assert _cached_texts(monkeypatch, lines) == (True, [line.partition(":")[2] for line in cached])
 
 
 def test_ranking_cache_stops_growing_after_misses_in_a_row(monkeypatch):
     monkeypatch.setattr(profiles, "_CACHE_LIMIT", 2)
+    readers = _readers(monkeypatch)
     calls = []
     resolve = profiles.resolve_ranking
     monkeypatch.setattr(profiles, "resolve_ranking", lambda *args: calls.append(args[0]) or resolve(*args))
     # spaced texts always go through resolve_ranking when they miss the cache
     texts = ["a>b>c", "b>a>c", "c>b>a", "a>b>c", "c>b>a", "c>b>a", "a>b>c"]
     e = parse_native("candidates: a, b, c\n" + "".join(f"1: {t}\n" for t in texts))
-    # the third miss finds the cache full; the hit that follows lets it in
-    assert [",".join(r) for r in calls] == ["a,b,c", "b,a,c", "c,b,a", "c,b,a"]
+    # the third miss finds the cache full before any hit and drops it, so
+    # every later line is resolved again, its repeats too
+    assert [",".join(r) for r in calls] == [text.replace(">", ",") for text in texts]
+    (reader,) = readers
+    assert reader.known is None
     assert len(e.votes) == len(texts)
 
 
-def test_full_ranking_cache_takes_misses_only_after_a_hit_in_their_list(monkeypatch):
-    # The parser reads lists of 4 lines, the header first. The first list
-    # fills the cache with a and b and leaves c out. The second hits a
-    # first, so the cache takes all of its misses; the third takes only h,
-    # the miss after its hit.
+A, B, C, D, E, F, G, H = "abcd", "bacd", "cbad", "dcba", "acbd", "bdca", "cadb", "dabc"
+
+
+@pytest.mark.parametrize(
+    "texts, cached",
+    [
+        # The first list fills the cache with a and b, then misses it on c
+        # before any hit, which drops it: no later line is looked up.
+        ([A, B, C, A, D, E, F, G, A, H], None),
+        # The first list hits a before it fills the cache with a and b, so
+        # the cache is kept. The second misses it on c and d, then hits a,
+        # so it takes only e, the miss after its hit; the third takes only h.
+        ([A, A, B, C, D, A, E, F, A, H], [A, B, E, H]),
+    ],
+    ids=["never_hit", "hit_first"],
+)
+def test_full_ranking_cache_takes_misses_only_after_a_hit_in_their_list(monkeypatch, texts, cached):
+    # The parser reads lists of 4 lines, the header first.
     monkeypatch.setattr(profiles, "_CACHE_LIMIT", 2)
     monkeypatch.setattr(profiles, "_BATCH_LINES", 4)
     readers = _readers(monkeypatch)
-    a, b, c, d, e, f, g, h = "abcd", "bacd", "cbad", "dcba", "acbd", "bdca", "cadb", "dabc"
-    texts = [a, b, c, a, d, e, f, g, a, h]
     parsed = parse_native("candidates: a, b, c, d\n" + "".join(f"1: {'>'.join(t)}\n" for t in texts))
     (reader,) = readers
-    assert [text.replace(">", "").strip() for text in reader.known] == [a, b, d, e, f, h]
+    if cached is None:
+        assert reader.known is None
+    else:
+        assert [text.replace(">", "").strip() for text in reader.known] == cached
     assert len(parsed.votes) == len(texts)
 
 
@@ -479,18 +523,21 @@ def _cache_profile(fmt: str, kind: str) -> bytes:
     rng = random.Random(20)
     if kind == "repeating_m4":  # 24 orders
         votes = [(rng.sample(range(4), 4), rng.choice((1, 2, 3))) for _ in range(3000)]
-    elif kind == "repeating_m8":  # 300 orders, each about 10 times
+    elif kind == "repeating_m8":  # 300 draws of 298 orders, each about 10 times
         pool = [rng.sample(range(8), 8) for _ in range(300)]
         votes = [(rng.choice(pool), rng.choice((1, 2, 3))) for _ in range(3000)]
     elif kind == "never_repeating":
         votes = _no_repeat_votes(3000)
+    elif kind == "late_repeating":  # 2,000 orders, then the first 1,000 again: caches fill before a hit
+        votes = _no_repeat_votes(2000)
+        votes += votes[:1000]
     else:  # weighted: no count twice, over 120 orders
         votes = [(rng.sample(range(5), 5), k + 1) for k in range(3000)]
     head, body = _written(fmt, len(votes[0][0]), votes)
     return "".join(head + body).encode()
 
 
-@pytest.mark.parametrize("kind", ["repeating_m4", "repeating_m8", "never_repeating", "weighted"])
+@pytest.mark.parametrize("kind", ["repeating_m4", "repeating_m8", "never_repeating", "late_repeating", "weighted"])
 @pytest.mark.parametrize("fmt", ["native", "soc"])
 @pytest.mark.parametrize("limit", [1, 7, 100, profiles._CACHE_LIMIT])
 def test_results_never_depend_on_the_cache_state(monkeypatch, limit, fmt, kind):
@@ -502,6 +549,31 @@ def test_results_never_depend_on_the_cache_state(monkeypatch, limit, fmt, kind):
     for size in BATCH_CHUNKS:
         monkeypatch.setattr(profiles, "_CHUNK_BYTES", size)
         assert scanned(fmt, data) == want, f"chunk size {size}"
+
+
+@pytest.mark.parametrize("fmt", ["native", "soc"])
+def test_a_text_cache_full_before_its_first_hit_is_looked_up_no_more(monkeypatch, fmt):
+    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 100)
+    monkeypatch.setattr(profiles, "_BATCH_LINES", 100)
+    # Past the line loop's first list, the batch step's first list of 100
+    # fills the cache; the next misses it throughout and drops it, and no
+    # later list makes a lookup.
+    data, repeating = _cache_profile(fmt, "never_repeating"), _cache_profile(fmt, "repeating_m8")
+    wants = expected(fmt, data), expected(fmt, repeating)
+    caches = _text_caches(monkeypatch)
+    assert scanned(fmt, data) == wants[0]
+    ((reader, cache),) = caches
+    assert reader.texts is None
+    assert (cache.gets, len(cache)) == (200, 100)
+    # Texts that repeat from the start keep their cache, which looks up
+    # every line the batch step reads and ends up holding all 298 orders.
+    caches.clear()
+    seen = _line_loop_spy(monkeypatch, fmt)
+    assert scanned(fmt, repeating) == wants[1]
+    ((reader, cache),) = caches
+    assert reader.texts is cache
+    batched = repeating.splitlines()[sum(size for _, _, size in seen):]
+    assert (cache.gets, len(cache)) == (len(batched), 298)
 
 
 def _traced_peak(fn) -> int:
