@@ -23,13 +23,12 @@ from .errors import (
     ProfileError,
     ProfileSyntaxError,
     SeedNotEdge,
-    TooFewCandidates,
     UnknownCandidate,
     UnrepresentableName,
     UnsupportedProfile,
     Violation,
 )
-from .graph import ConnectivityGraph, Mode, build_graph, top_pair_set
+from .graph import ConnectivityGraph, Mode, build_graph
 from .recognize import (
     LinkedOrder,
     RecognitionResult,
@@ -51,12 +50,10 @@ _LAZY = {
     "parse_native": "profiles",
     "parse_preflib_soc": "profiles",
     "scan_profile": "profiles",
-    "Candidate": "model",
     "Election": "model",
     "ProfileScan": "model",
     "Vote": "model",
     "default_names": "model",
-    "top_two": "model",
     "validate_election": "model",
     "export_dot": "graphio",
     "parse_graph": "graphio",
@@ -88,7 +85,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "Candidate",
     "ConnectivityGraph",
     "DuplicateCandidateName",
     "Election",
@@ -109,7 +105,6 @@ __all__ = [
     "RecognitionResult",
     "SeedNotEdge",
     "StuckCertificate",
-    "TooFewCandidates",
     "UnknownCandidate",
     "UnrepresentableName",
     "UnsupportedProfile",
@@ -134,8 +129,6 @@ __all__ = [
     "recognize",
     "recognize_election",
     "scan_profile",
-    "top_pair_set",
-    "top_two",
     "validate_election",
     "verify_witness",
     "write_native",

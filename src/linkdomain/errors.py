@@ -75,10 +75,6 @@ class InvalidElection(LinkDomainError):
         super().__init__(f"invalid election ({len(self.violations)} violation(s)): {summary}")
 
 
-class TooFewCandidates(LinkDomainError):
-    """Operation needs at least two candidates."""
-
-
 class UnrepresentableName(LinkDomainError):
     """Candidate name the native format cannot carry: it contains a character
     the grammar reserves (',', '>', newline), is empty, or has surrounding

@@ -14,8 +14,6 @@ from itertools import accumulate, chain, islice, repeat
 from operator import eq, sub
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import TooFewCandidates
-
 if TYPE_CHECKING:  # the recognizer runs without the election model
     from .model import Election, ProfileScan
 
@@ -41,7 +39,8 @@ class ConnectivityGraph:
     rows rebuilt without repeats and cut again. csr_arrays() and
     seed_arrays() return the stored tuples; neighbors(), degree() and
     has_edge() read the rows. `edges`, the pairs (u, v) with u < v in
-    ascending order, is built from the seed lists on first access and kept.
+    ascending order, is built from the seed lists on each access and not
+    kept, so the graph holds nothing but `m` and the four tuples.
     Vertex ids are stored as plain ints, one object per vertex made
     together when the graph is built, and every tuple above refers to
     those: the graph keeps none of the caller's objects, so input given as
@@ -51,13 +50,12 @@ class ConnectivityGraph:
     self-loop, or an int id below 0 or of m or more. Only a negative id is
     compared; an id of m or more is refused by the failed list lookup, so
     a non-integer id that is not below 0 raises the lookup's TypeError.
-    Equality compares the vertex count and the seed lists (mode is
-    provenance, not structure).
+    Equality compares the vertex count and the seed lists.
     """
 
-    __slots__ = ("m", "mode", "_indptr", "_indices", "_seed_u", "_seed_v", "_edges")
+    __slots__ = ("m", "_indptr", "_indices", "_seed_u", "_seed_v")
 
-    def __init__(self, m: int, edges: Iterable[Edge], mode: Mode | None = None):
+    def __init__(self, m: int, edges: Iterable[Edge]):
         if m < 1:
             raise ValueError("graph needs at least one vertex")
         ids = list(range(m))
@@ -91,18 +89,14 @@ class ConnectivityGraph:
             indptr, indices = _flat([list(dict.fromkeys(indices[a:b])) for a, b in zip(indptr, islice(indptr, 1, None))])
             seed_u, seed_v = _seeds(ids, indptr, indices)
         self.m = m
-        self.mode = mode
         self._indptr = indptr
         self._indices = indices
         self._seed_u: tuple[int, ...] = seed_u
         self._seed_v: tuple[int, ...] = seed_v
-        self._edges: tuple[Edge, ...] | None = None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            self._edges = tuple(zip(self._seed_u, self._seed_v))
-        return self._edges
+        return tuple(zip(self._seed_u, self._seed_v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._indices[slice(*self._row(v))]
@@ -143,8 +137,7 @@ class ConnectivityGraph:
         return hash((self.m, self._seed_u, self._seed_v))
 
     def __repr__(self) -> str:
-        mode = f", mode={self.mode.value}" if self.mode else ""
-        return f"ConnectivityGraph(m={self.m}, edges={len(self._seed_u)}{mode})"
+        return f"ConnectivityGraph(m={self.m}, edges={len(self._seed_u)})"
 
 
 def _flat(rows: list) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -165,13 +158,6 @@ def _seeds(ids: list[int], indptr: tuple[int, ...], indices: tuple[int, ...]) ->
     return seed_u, seed_v
 
 
-def top_pair_set(election: "Election") -> frozenset[tuple[int, int]]:
-    """Ordered (first, second) pairs occurring in some vote; multiplicities collapse."""
-    if election.m < 2:
-        raise TooFewCandidates("top pairs need at least two candidates")
-    return election.top_pairs
-
-
 def build_graph(profile: "Election | ProfileScan", mode: Mode = Mode.STRONG) -> ConnectivityGraph:
     """Connectivity graph of an election under the given edge rule.
 
@@ -190,4 +176,4 @@ def build_graph(profile: "Election | ProfileScan", mode: Mode = Mode.STRONG) -> 
         edges = [(a, b) for a, b in pairs if a < b and (b, a) in pairs]
     else:
         edges = {(min(a, b), max(a, b)) for a, b in pairs}
-    return ConnectivityGraph(profile.m, edges, mode)
+    return ConnectivityGraph(profile.m, edges)

@@ -1,9 +1,10 @@
-"""Core election model: candidates, votes, and validated elections.
+"""Core election model: candidate names, votes, and validated elections.
 
-Candidates are referenced internally by dense integer id (0..m-1); display
-names appear only at I/O boundaries. A vote is a complete strict ranking,
-stored as a tuple of candidate ids, most-preferred first. Duplicate
-rankings are kept with an explicit multiplicity instead of being expanded.
+Candidates are referenced internally by dense integer id (0..m-1), the
+position of their display name; names appear only at I/O boundaries. A
+vote is a complete strict ranking, stored as a tuple of candidate ids,
+most-preferred first. Duplicate rankings are kept with an explicit
+multiplicity instead of being expanded.
 """
 
 from typing import Iterable, Sequence
@@ -15,7 +16,6 @@ from .errors import (
     IncompleteRanking,
     InvalidElection,
     NonPositiveMultiplicity,
-    TooFewCandidates,
     UnknownCandidate,
     Violation,
 )
@@ -24,37 +24,27 @@ from .record import Record
 Vote = tuple[int, ...]
 
 
-class Candidate(Record):
-    __slots__ = ("id", "name")
-
-    def __init__(self, id: int, name: str):
-        self._fill(id, name)
-
-
 class Election(Record):
-    """A candidate set plus a multiset of complete strict rankings.
+    """Candidate names plus a multiset of complete strict rankings.
 
+    names holds the display names in id order, so candidate i is names[i].
     votes holds (ranking, multiplicity) pairs in input order; the same
     ranking may appear on several lines. All types are immutable after
     construction and safe to share across threads.
     """
 
-    __slots__ = ("candidates", "votes")
+    __slots__ = ("names", "votes")
 
-    def __init__(self, candidates: tuple[Candidate, ...], votes: tuple[tuple[Vote, int], ...]):
-        self._fill(candidates, votes)
+    def __init__(self, names: tuple[str, ...], votes: tuple[tuple[Vote, int], ...]):
+        self._fill(names, votes)
 
     @property
     def m(self) -> int:
-        return len(self.candidates)
+        return len(self.names)
 
     @property
     def n(self) -> int:
         return sum(mult for _, mult in self.votes)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.candidates)
 
     @property
     def top_pairs(self) -> frozenset[tuple[int, int]]:
@@ -188,8 +178,7 @@ def make_election(
     """The Election of validated names and votes; InvalidElection if any violation was found."""
     if violations:
         raise InvalidElection(violations)
-    candidates = tuple(Candidate(i, name) for i, name in enumerate(names))
-    return Election(candidates, tuple(votes))
+    return Election(tuple(names), tuple(votes))
 
 
 def election_from_ids(
@@ -213,12 +202,4 @@ def election_from_ids(
                 [NonPositiveMultiplicity(f"multiplicity {mult} is not positive")]
             )
         packed.append((vote, mult))
-    candidates = tuple(Candidate(i, name) for i, name in enumerate(name_list))
-    return Election(candidates, tuple(packed))
-
-
-def top_two(vote: Sequence[int]) -> tuple[int, int]:
-    """First and second entry of a ranking, the only positions connectivity consumes."""
-    if len(vote) < 2:
-        raise TooFewCandidates("top_two needs a ranking over at least two candidates")
-    return vote[0], vote[1]
+    return Election(name_list, tuple(packed))

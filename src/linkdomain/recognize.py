@@ -18,8 +18,8 @@ reference closure, both absorb first in, first out, so the witness is
 greedy_closure(graph, s) for the first seed s whose closure covers.
 """
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import kernels
@@ -42,30 +42,49 @@ class StuckCertificate(Mapping):
     lies, and 0 for one it skipped because it lies inside an earlier stuck
     set. Holding one costs that list and nothing more:
     len() and max_stuck_size answer from it, and iteration walks the
-    graph's seed lists. The first lookup by key ([], `in`, stuck_size())
-    builds a dict from edge to size, O(#seeds) tuples, and keeps it.
-    Stuck sets are recomputed on access by greedy_closure, never stored:
-    a lookup costs m bytes plus the rows of the stuck set's vertices.
+    graph's seed lists. A lookup by key ([], `in`, stuck_size()) finds the
+    seed by bisecting those lists (seed_u ascending, seed_v ascending
+    within each lower end) and keeps nothing; it finds what a dict keyed by
+    the seed edges would, so (1.0, 2.0) finds the seed (1, 2) and an
+    unhashable key raises TypeError. Stuck sets are recomputed on access
+    by greedy_closure from the stored seed, never stored: a lookup costs
+    m bytes plus the rows of the stuck set's vertices.
     stuck_size() answers from the stored entry, and recomputes the closure
     only for a skipped seed. max_stuck_size is exact from the run seeds
     alone, since a skipped seed's closure lies inside a run one.
     """
 
+    __slots__ = ("_graph", "_sizes")
+
     def __init__(self, graph: ConnectivityGraph, sizes: Sequence[int]):
         self._graph = graph
         self._sizes = sizes
 
-    @cached_property
-    def _size_of(self) -> dict[Edge, int]:
-        return dict(zip(self, self._sizes))
+    def _find(self, seed: object) -> tuple[int, Edge]:
+        """(position, stored edge) of the seed equal to `seed`; KeyError if none is."""
+        hash(seed)  # an unhashable key raises TypeError, as a dict lookup does
+        seed_u, seed_v = self._graph.seed_arrays()
+        if isinstance(seed, tuple) and len(seed) == 2:
+            u, v = seed
+            try:
+                lo = bisect_left(seed_u, u)
+                i = bisect_left(seed_v, v, lo, bisect_right(seed_u, u, lo))
+            except TypeError:  # an end that no int compares with
+                raise KeyError(seed) from None
+            # The bisects narrow the search; equality decides, as in a dict.
+            if i < len(seed_u) and (edge := (seed_u[i], seed_v[i])) == seed:
+                return i, edge
+        raise KeyError(seed)
 
     def __getitem__(self, seed: Edge) -> frozenset[int]:
-        if seed not in self._size_of:
-            raise KeyError(seed)
-        return frozenset(greedy_closure(self._graph, seed))
+        return frozenset(greedy_closure(self._graph, self._find(seed)[1]))
 
     def __contains__(self, seed: object) -> bool:
-        return seed in self._size_of
+        try:
+            self._find(seed)
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self) -> Iterator[Edge]:
         return zip(*self._graph.seed_arrays())
@@ -74,7 +93,8 @@ class StuckCertificate(Mapping):
         return len(self._sizes)
 
     def stuck_size(self, seed: Edge) -> int:
-        return self._size_of[seed] or len(greedy_closure(self._graph, seed))
+        i, edge = self._find(seed)
+        return self._sizes[i] or len(greedy_closure(self._graph, edge))
 
     @property
     def max_stuck_size(self) -> int:

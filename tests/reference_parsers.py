@@ -24,7 +24,7 @@ from linkdomain.errors import (
     UnsupportedProfile,
     Violation,
 )
-from linkdomain.model import Candidate, Election, Vote
+from linkdomain.model import Election, Vote
 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
@@ -259,5 +259,4 @@ def validate_election(
 
     if violations:
         raise InvalidElection(violations)
-    candidates = tuple(Candidate(i, name) for i, name in enumerate(trimmed))
-    return Election(candidates, tuple(votes))
+    return Election(tuple(trimmed), tuple(votes))

@@ -58,7 +58,7 @@ class TestCheck:
     @pytest.mark.usefixtures("seed_lists_refused_after_sweep")
     def test_not_linked_report_leaves_the_seed_lists_unread(self, path_profile, capsys):
         # "seeds tried" and "max stuck set size" come from the sizes the
-        # sweep wrote, without building the certificate's edge -> size map.
+        # sweep wrote, without reading the graph's seed lists.
         assert main(["check", path_profile]) == 1
         out = capsys.readouterr().out
         assert "seeds tried: 1\n" in out
@@ -183,6 +183,10 @@ class TestGen:
     def test_ic_missing_flags(self, capsys):
         assert main(["gen", "--model", "ic", "--candidates", "3"]) == 2
 
+    def test_ic_negative_votes(self, capsys):
+        assert main(["gen", "--model", "ic", "--candidates", "3", "--votes", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --votes must be non-negative\n"
+
     def test_edges_from_edge_list(self, tmp_path, capsys):
         graph_file = tmp_path / "k2.edges"
         graph_file.write_text("0 1\n")
@@ -221,6 +225,16 @@ class TestOracle:
     def test_agree_single_candidate(self, one_path, capsys):
         assert main(["oracle", one_path]) == 0
         assert capsys.readouterr().out.strip() == "AGREE: linked"
+
+    @pytest.mark.parametrize("fixture, says", [("k3_path", False), ("path_profile", True)])
+    def test_disagreement_exits_3(self, request, monkeypatch, capsys, fixture, says):
+        from linkdomain import oracle
+
+        monkeypatch.setattr(oracle, "brute_force_linked", lambda graph, cap: (says, None))
+        assert main(["oracle", request.getfixturevalue(fixture)]) == 3
+        verdicts = ("not-linked", "linked") if says else ("linked", "not-linked")
+        want = "DISAGREEMENT: recognize says {}, brute force says {}\n".format(*verdicts)
+        assert capsys.readouterr().out == want
 
     def test_cap_exceeded(self, tmp_path, capsys):
         profile = tmp_path / "big.profile"

@@ -9,6 +9,7 @@ from linkdomain import (
     gen_edge_realizing,
     gen_impartial_culture,
     gen_linked_graph,
+    gen_pendant_clique,
     gen_random_graph,
     recognize,
 )
@@ -81,7 +82,17 @@ class TestRandomGraphs:
         assert len(gen_random_graph(5, 1.0, seed=1).edges) == 10
 
 
+class TestPendantClique:
+    def test_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="pendant clique needs at least three vertices"):
+            gen_pendant_clique(2)
+
+
 class TestLinkedGraphs:
+    def test_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="need at least two vertices"):
+            gen_linked_graph(1)
+
     @given(st.integers(2, 12), st.integers(0, 5), st.integers(0, 1000))
     def test_always_linked(self, m, extra, seed):
         g = gen_linked_graph(m, extra_edges=extra, seed=seed)

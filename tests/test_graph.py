@@ -11,12 +11,10 @@ import linkdomain.graph
 from linkdomain import (
     ConnectivityGraph,
     Mode,
-    TooFewCandidates,
     build_graph,
     export_dot,
     gen_linked_graph,
     recognize,
-    top_pair_set,
 )
 from linkdomain.model import election_from_ids
 
@@ -72,22 +70,21 @@ def flat_calls(monkeypatch):
     return calls
 
 
-class TestTopPairSet:
+class TestTopPairs:
     def test_pairs_collected(self):
         e = make(3, [(0, 1, 2), (1, 0, 2)])
-        assert top_pair_set(e) == {(0, 1), (1, 0)}
+        assert e.top_pairs == {(0, 1), (1, 0)}
 
     def test_multiplicities_collapse(self):
-        e = election_from_ids([((0, 1, 2), 5)], 3)
-        assert top_pair_set(e) == {(0, 1)}
+        e = election_from_ids([((0, 1, 2), 5), ((0, 1, 2), 2), ((0, 2, 1), 1)], 3)
+        assert e.top_pairs == {(0, 1), (0, 2)}
 
     def test_no_votes(self):
         e = make(3, [])
-        assert top_pair_set(e) == frozenset()
+        assert e.top_pairs == frozenset()
 
-    def test_single_candidate_rejected(self):
-        with pytest.raises(TooFewCandidates):
-            top_pair_set(make(1, [(0,)]))
+    def test_single_candidate_has_none(self):
+        assert make(1, [(0,)]).top_pairs == frozenset()
 
 
 class TestBuildGraph:
@@ -113,10 +110,6 @@ class TestBuildGraph:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_single_candidate_gives_one_vertex(self, mode):
         assert build_graph(make(1, [(0,)]), mode) == ConnectivityGraph(1, [])
-
-    def test_mode_recorded(self):
-        e = make(2, [(0, 1)])
-        assert build_graph(e, Mode.WEAK).mode is Mode.WEAK
 
     @given(elections(min_m=2))
     def test_strong_subset_of_weak(self, e):
@@ -250,10 +243,24 @@ class TestConnectivityGraph:
         with pytest.raises(IndexError, match="from the caller"):
             ConnectivityGraph(3, edges())
 
-    def test_edges_built_once(self):
+    def test_edges_built_from_the_seed_lists(self):
         g = ConnectivityGraph(3, [(1, 2), (0, 1)])
-        assert g.edges is g.edges
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges == ((0, 1), (1, 2)) == tuple(zip(*g.seed_arrays()))
+
+    def test_reading_edges_keeps_nothing(self):
+        # K_{100,100}: `edges` is a new tuple of 10,000 pairs on each
+        # access, freed with it. What the trace still counts is the
+        # interpreter's free list of 2-tuples, which takes up to 2,000 of
+        # them: 111,944 bytes on CPython 3.11.7. The graph that kept `edges`
+        # after the first access kept 528,152 here.
+        g = ConnectivityGraph(200, [(u, w) for u in range(100) for w in range(100, 200)])
+        tracemalloc.start()
+        try:
+            assert len(g.edges) == 10_000
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 150_000
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -267,10 +274,11 @@ class TestConnectivityGraph:
         with pytest.raises(ValueError):
             ConnectivityGraph(0, [])
 
-    def test_equality_ignores_mode(self):
-        a = ConnectivityGraph(3, [(0, 1)], Mode.STRONG)
-        b = ConnectivityGraph(3, [(0, 1)])
-        assert a == b
+    def test_equal_only_to_a_graph_with_the_same_vertices_and_edges(self):
+        g = ConnectivityGraph(3, [(0, 1)])
+        assert g == ConnectivityGraph(3, [(1, 0)]) and hash(g) == hash(ConnectivityGraph(3, [(1, 0)]))
+        assert g != ConnectivityGraph(4, [(0, 1)]) and g != ConnectivityGraph(3, [(0, 2)])
+        assert g.__eq__((3, ((0,), (1,)))) is NotImplemented and g != (3, ((0,), (1,)))
 
     @pytest.mark.parametrize("v", [-1, 3])
     def test_rows_reject_ids_outside_the_graph(self, v):
@@ -336,13 +344,15 @@ class TestConnectivityGraph:
     def test_memory_kept_after_the_edge_list_is_dropped(self):
         # Traced bytes still allocated once the caller has dropped the list
         # of fresh ints it built a linked graph from (5,000 vertices, 10,497
-        # edges). The graph that holds one int of its own per vertex keeps
-        # 798,144 on CPython 3.11.7, 3.12.1 and 3.13.0 and 759,852 on
-        # 3.10.13, measured alone and under pytest. The limit adds a 7 %
-        # margin to 804,728, the most 3.11 read under pytest when the rows
-        # were made by a list comprehension. The graph that held the
-        # caller's ints, up to two per edge, kept 1,402,432. Catches the
-        # stored tuples pointing at the caller's objects again.
+        # edges). The graph that holds one int of its own per vertex and
+        # nothing but m and its four tuples keeps 798,128 on CPython 3.11.7,
+        # 3.12.1 and 3.13.0 and 759,836 on 3.10.13, measured alone and under
+        # pytest; one run of the whole suite on 3.11.7 read 804,664. With
+        # slots for a mode and an edge cache it kept 16 bytes more. The
+        # limit adds a 7 % margin to 804,728, the most 3.11 read under
+        # pytest when the rows were made by a list comprehension. The graph
+        # that held the caller's ints, up to two per edge, kept 1,402,432.
+        # Catches the stored tuples pointing at the caller's objects again.
         linked = gen_linked_graph(5000, 500, seed=1).edges
         tracemalloc.start()
         try:
@@ -359,19 +369,20 @@ class TestConnectivityGraph:
         # Traced bytes allocated while building and recognizing a linked
         # graph with 10,497 edges. The build that keeps four flat tuples and
         # builds `edges` only on access peaks while laying its rows end to
-        # end: at 1,140,432 on CPython 3.11.7 (0.8 % under the limit),
-        # 1,140,392 on 3.12.1 and 3.13.0 and 1,101,692 on 3.10.13, measured
-        # alone and under pytest. The sweep and the witness check stay
-        # below that. The 4,440 bytes above the 1,135,992 that 3.11 read
-        # when a list comprehension made the empty rows are the trace's
-        # accounting, not memory: the comprehension takes up to 80 empty
-        # lists of 56 bytes from the interpreter's free list, made before
-        # tracing started, where `list(map(list, ...))` makes every row
-        # anew. The limit was set with a 7 % margin over 1,074,424, when
-        # the tuples held the caller's ints and this trace did not count
-        # them. The build that also made an edge tuple per edge peaked at
-        # 1,445,060. Catches `edges` being built on the linked path, or a
-        # second copy of the adjacency.
+        # end: at 1,140,416 on CPython 3.11.7 (0.8 % under the limit),
+        # 1,140,376 on 3.12.1 and 3.13.0 and 1,101,676 on 3.10.13, measured
+        # alone and under pytest, 16 bytes under the graph that also had
+        # slots for a mode and an edge cache. The sweep and the witness
+        # check stay below that. The 4,440 bytes that graph read above the
+        # 1,135,992 of 3.11 when a list comprehension made the empty rows
+        # are the trace's accounting, not memory: the comprehension takes
+        # up to 80 empty lists of 56 bytes from the interpreter's free
+        # list, made before tracing started, where `list(map(list, ...))`
+        # makes every row anew. The limit was set with a 7 % margin over
+        # 1,074,424, when the tuples held the caller's ints and this trace
+        # did not count them. The build that also made an edge tuple per
+        # edge peaked at 1,445,060. Catches `edges` being built on the
+        # linked path, or a second copy of the adjacency.
         edges = list(gen_linked_graph(5000, 500, seed=1).edges)
         tracemalloc.start()
         try:

@@ -13,7 +13,7 @@ import linkdomain
 
 LAZY_NAMES = {
     "profiles": ["parse_native", "parse_preflib_soc", "scan_profile"],
-    "model": ["Candidate", "Election", "ProfileScan", "Vote", "default_names", "top_two", "validate_election"],
+    "model": ["Election", "ProfileScan", "Vote", "default_names", "validate_election"],
     "generate": ["gen_edge_realizing", "gen_impartial_culture", "gen_linked_graph", "gen_pendant_clique",
                  "gen_random_graph"],
     "oracle": ["brute_force_linked", "enumerate_graphs", "linked_via_all_pair_seeds"],

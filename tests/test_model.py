@@ -3,10 +3,8 @@ import pickle
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from linkdomain import (
-    Candidate,
     DuplicateCandidateName,
     Election,
     EmptyCandidateSet,
@@ -15,10 +13,8 @@ from linkdomain import (
     NonPositiveMultiplicity,
     ProfileScan,
     RecognitionResult,
-    TooFewCandidates,
     UnknownCandidate,
     default_names,
-    top_two,
     validate_election,
 )
 from linkdomain.model import election_from_ids
@@ -85,23 +81,6 @@ class TestValidateElection:
         assert e.n == 0
 
 
-class TestTopTwo:
-    def test_plain(self):
-        assert top_two((0, 1, 2)) == (0, 1)
-
-    def test_other_order(self):
-        assert top_two((2, 0, 1)) == (2, 0)
-
-    def test_single_candidate(self):
-        with pytest.raises(TooFewCandidates):
-            top_two((0,))
-
-    @given(st.permutations(range(5)))
-    def test_tail_is_ignored(self, order):
-        tail_reversed = tuple(order[:2]) + tuple(reversed(order[2:]))
-        assert top_two(tuple(order)) == top_two(tail_reversed)
-
-
 @given(elections())
 def test_every_vote_is_a_permutation(e):
     for ranking, mult in e.votes:
@@ -125,16 +104,33 @@ def test_election_from_ids_rejects_non_permutation():
         election_from_ids([((0, 0), 1)], 2)
 
 
+def test_election_from_ids_rejects_a_wrong_number_of_names():
+    with pytest.raises(ValueError, match="expected 3 names, got 2"):
+        election_from_ids([], 3, ["a", "b"])
+
+
+def test_election_from_ids_rejects_a_zero_multiplicity():
+    with pytest.raises(InvalidElection) as exc:
+        election_from_ids([((1, 0), 0)], 2)
+    assert [type(v) for v in exc.value.violations] == [NonPositiveMultiplicity]
+
+
+def test_election_keeps_the_names_it_is_given():
+    e = election_from_ids([((1, 0), 2)], 2, ["x", "y"])
+    assert e == Election(("x", "y"), (((1, 0), 2),))
+    assert (e.names, e.m, e.n) == (("x", "y"), 2, 2)
+
+
 class TestRecordValues:
     """The package's record types are immutable values: equal and hashed by
     their fields, only within one class, with a dataclass-style repr."""
     RECORDS = [
-        (Candidate(0, "a"), Candidate(id=0, name="a"), Candidate(1, "a"),
-         "Candidate(id=0, name='a')"),
-        (Election((Candidate(0, "a"),), (((0,), 2),)),
-         Election(votes=(((0,), 2),), candidates=(Candidate(0, "a"),)),
-         Election((Candidate(0, "a"),), (((0,), 3),)),
-         "Election(candidates=(Candidate(id=0, name='a'),), votes=(((0,), 2),))"),
+        (Election(("a", "b"), ()), Election(names=("a", "b"), votes=()), Election(("b", "a"), ()),
+         "Election(names=('a', 'b'), votes=())"),
+        (Election(("a",), (((0,), 2),)),
+         Election(votes=(((0,), 2),), names=("a",)),
+         Election(("a",), (((0,), 3),)),
+         "Election(names=('a',), votes=(((0,), 2),))"),
         (ProfileScan(("a", "b"), 2, frozenset({(0, 1)})),
          ProfileScan(names=("a", "b"), n=2, top_pairs=frozenset({(0, 1)})),
          ProfileScan(("a", "b"), 3, frozenset({(0, 1)})),
@@ -158,18 +154,18 @@ class TestRecordValues:
                 delattr(record, name)
 
     def test_only_the_same_class_is_equal(self):
-        class Named(Candidate):
+        class Named(Election):
             pass
 
-        assert Named(0, "a") != Candidate(0, "a")
-        assert Named(0, "a") == Named(0, "a")
+        assert Named(("a",), ()) != Election(("a",), ())
+        assert Named(("a",), ()) == Named(("a",), ())
 
     def test_defaults_and_patterns(self):
         result = RecognitionResult(linked=False)
         assert result == RecognitionResult(False, None, None)
         assert (result.witness, result.certificate, result.verdict) == (None, None, "not-linked")
-        match Candidate(2, "c"):
-            case Candidate(cid, name):
-                assert (cid, name) == (2, "c")
+        match Election(("c",), (((0,), 1),)):
+            case Election(names, votes):
+                assert (names, votes) == (("c",), (((0,), 1),))
         with pytest.raises(TypeError):
-            Candidate(0)
+            Election(("c",))

@@ -1,7 +1,7 @@
 import random
 import sys
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
@@ -241,15 +241,19 @@ class TestRecognize:
 
     @pytest.mark.usefixtures("seed_lists_refused_after_sweep")
     def test_certificate_answers_len_and_max_without_the_seed_lists(self):
-        # The certificate keeps the sizes the sweep wrote; only a lookup by
-        # key builds the edge -> size map from the graph's seed lists.
+        # The certificate keeps the sizes the sweep wrote; only iteration
+        # and a lookup by key read the graph's seed lists.
         g = gen_pendant_clique(40)
         cert = recognize(g).certificate
         assert len(cert) == 39 * 38 // 2 + 1
         assert cert.max_stuck_size == 39
 
     @given(graphs(min_m=2))
+    @example(ConnectivityGraph(4, [(0, 1), (0, 3), (1, 2), (2, 3)]))
     def test_certificate_matches_the_eager_map(self, g):
+        # Every lookup answers as a dict keyed by the seed edges would: a
+        # key finds a seed exactly when it equals and hashes as one, so
+        # (0.0, 1.0) and (False, True) find (0, 1), and anything else misses.
         result = recognize(g)
         if result.linked:
             return
@@ -259,16 +263,42 @@ class TestRecognize:
         assert cert.max_stuck_size == max(map(len, eager.values()), default=0)
         assert list(cert) == list(eager)
         assert dict(cert) == eager
-        for seed, stuck in eager.items():
-            assert seed in cert
-            assert cert.stuck_size(seed) == len(stuck)
-        for u, v in combinations(range(g.m), 2):
-            for pair in [(v, u)] if (u, v) in eager else [(u, v), (v, u)]:
-                assert pair not in cert
+        m = g.m
+        odd = [(0.0, 1.0), (0.5, 1), (float("nan"), 1), (False, True), (True, 2.0), ("0", "1"), (0, "1"),
+               "01", None, (None, 1), (0,), (0, 1, 2), (-1, 0), (0, -1), (0, m), (m, m + 1), (m - 1, m),
+               (10**30, 0), (0, 10**30), (-(10**30), 1)]
+        for key in [(u, v) for u in range(m) for v in range(m)] + odd:
+            assert (key in cert) == (key in eager), key
+            assert cert.get(key, "miss") == eager.get(key, "miss"), key
+            if key in eager:
+                assert cert[key] == eager[key], key
+                assert cert.stuck_size(key) == len(eager[key]), key
+            else:
                 with pytest.raises(KeyError):
-                    cert[pair]
+                    cert[key]
                 with pytest.raises(KeyError):
-                    cert.stuck_size(pair)
+                    cert.stuck_size(key)
+        for unhashable in ([0, 1], ([0], 1), {0: 1}):
+            for lookup in (cert.__contains__, cert.__getitem__, cert.get, cert.stuck_size):
+                with pytest.raises(TypeError):
+                    lookup(unhashable)
+
+    def test_certificate_lookup_keeps_nothing(self):
+        # K_{300,300}, 90,000 seeds, each stuck at its two ends. The first
+        # lookup bisects the stored seed lists and keeps 216 traced bytes
+        # under pytest on CPython 3.11.7 (288 alone), the frozenset it
+        # returns; the certificate that built an edge -> size dict on its
+        # first lookup kept 10,171,464.
+        g = ConnectivityGraph(600, [(u, w) for u in range(300) for w in range(300, 600)])
+        cert = recognize(g).certificate
+        tracemalloc.start()
+        try:
+            stuck = cert[(0, 300)]
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stuck == {0, 300} and cert.stuck_size((299, 599)) == 2
+        assert kept <= 4096
 
     @given(graphs())
     def test_verdict_matches_brute_force(self, g):
