@@ -4,7 +4,7 @@
                              [--witness] [--json] [--graph-out FILE]
     linkdomain gen --model ic --candidates M --votes N [--seed S] [--out FILE]
     linkdomain gen --model edges --graph FILE [--out FILE]
-    linkdomain oracle PROFILE [--mode strong|weak] [--cap N] [--format native|soc]
+    linkdomain oracle PROFILE [--mode strong|weak] [--format native|soc] [--cap N]
 
 Exit codes: 0 linked / verdicts agree, 1 not linked, 2 error,
 3 oracle disagreement (a bug detector). check and oracle are decision
@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from .errors import LinkDomainError
 from .graph import ConnectivityGraph, Mode, build_graph
@@ -27,21 +28,23 @@ from .recognize import RecognitionResult, recognize
 
 
 def _check_pipeline(
-    profile: ProfileScan, mode: Mode
-) -> tuple[RecognitionResult, ConnectivityGraph, float]:
+    args: argparse.Namespace, check_m: Callable[[int], object] | None = None
+) -> tuple[ProfileScan, ConnectivityGraph, RecognitionResult, float]:
+    """Scan args.path in args.format (check_m as scan_profile takes it), then
+    build its graph in args.mode and recognize it; the milliseconds time those two."""
+    with open(args.path, "rb") as file:
+        profile = scan_profile(file, args.format, check_m)
+    mode = Mode(args.mode)
     start = time.perf_counter()
     graph = build_graph(profile, mode)
     result = recognize(graph)
-    return result, graph, (time.perf_counter() - start) * 1000.0
+    return profile, graph, result, (time.perf_counter() - start) * 1000.0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    with open(args.path, "rb") as file:
-        profile = scan_profile(file, args.format)
+    profile, graph, result, elapsed_ms = _check_pipeline(args)
     if profile.n >= 10**MAX_DIGITS:  # the report prints it; str() refuses longer ints
         raise LinkDomainError(f"vote total has more than {MAX_DIGITS} digits")
-    mode = Mode(args.mode)
-    result, graph, elapsed_ms = _check_pipeline(profile, mode)
     names = profile.names
     edge_count = len(graph.csr_arrays()[1]) // 2  # each edge is in two rows of the stored adjacency
 
@@ -53,7 +56,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         report = {
             "input": args.path,
-            "mode": mode.value,
+            "mode": args.mode,
             "m": profile.m,
             "n": profile.n,
             "edges": edge_count,
@@ -64,7 +67,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(report))
     else:
         print(f"input:      {args.path}")
-        print(f"mode:       {mode.value}")
+        print(f"mode:       {args.mode}")
         print(f"candidates: {profile.m}")
         print(f"votes:      {profile.n}")
         print(f"edges:      {edge_count}")
@@ -118,9 +121,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if m > args.cap:
             raise LinkDomainError(f"profile has {m} candidates, oracle capped at {args.cap}")
 
-    with open(args.path, "rb") as file:
-        profile = scan_profile(file, args.format, check_m=refuse_above_cap)
-    result, graph, _ = _check_pipeline(profile, Mode(args.mode))
+    _, graph, result, _ = _check_pipeline(args, refuse_above_cap)
     oracle_verdict, _ = brute_force_linked(graph, cap=args.cap)
     if result.linked == oracle_verdict:
         print(f"AGREE: {'linked' if result.linked else 'not linked'}")
@@ -138,11 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide whether a preference profile is a linked domain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    profile = argparse.ArgumentParser(add_help=False)  # what check and oracle read
+    profile.add_argument("path")
+    profile.add_argument("--mode", choices=["strong", "weak"], default="strong")
+    profile.add_argument("--format", choices=["native", "soc"], default="native")
 
-    check = sub.add_parser("check", help="recognize a profile, print witness or certificate")
-    check.add_argument("path")
-    check.add_argument("--mode", choices=["strong", "weak"], default="strong")
-    check.add_argument("--format", choices=["native", "soc"], default="native")
+    check = sub.add_parser("check", parents=[profile], help="recognize a profile, print witness or certificate")
     check.add_argument("--witness", action="store_true", help="report the witness check recognize ran")
     check.add_argument("--json", action="store_true", help="single-line JSON report")
     check.add_argument("--graph-out", metavar="FILE", help="write the connectivity graph as DOT")
@@ -157,11 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
-    oracle = sub.add_parser("oracle", help="compare recognition against brute force")
-    oracle.add_argument("path")
-    oracle.add_argument("--mode", choices=["strong", "weak"], default="strong")
+    oracle = sub.add_parser("oracle", parents=[profile], help="compare recognition against brute force")
     oracle.add_argument("--cap", type=int)
-    oracle.add_argument("--format", choices=["native", "soc"], default="native")
     oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -63,7 +63,9 @@ _CHUNK_BYTES = 1 << 18  # scan_profile reads a file this many bytes at a time
 # hit it, and a miss that finds one full before its first hit drops it for good.
 _CACHE_LIMIT = 4096
 _BATCH_LINES = 1000  # a reader's batch() takes at most this many lines at once
-_BATCH_MAX_M = 63  # and only up to this many candidates, whose bit sums fit in 64 bits
+# and only up to this many candidates: its per-ranking bit sums and its
+# m(m-1)-entry pair table grow with m^2, so the line loop wins from a few hundred on
+_BATCH_MAX_M = 63
 
 _HEADER_PREFIX = "candidates:"
 _META_RE = re.compile(r"^#\s*([A-Z][A-Z ]*?)\s*(\d*)\s*:\s*(.*?)\s*$")
@@ -571,25 +573,21 @@ def scan_profile(
     checked, and may raise to stop the scan there.
     """
     if fmt == "native":
-        return _scan(file, _NativeReader(), check_m, 0)
-    if fmt != "soc":
+        reader, start = _NativeReader(), 0
+    elif fmt != "soc":
         raise ValueError(f"unknown profile format {fmt!r}: expected 'native' or 'soc'")
-    if file.seekable():
-        return _scan(file, _SocReader(), check_m, file.tell())
-    import shutil  # here, so that a check of a file loads neither
-    import tempfile
+    elif file.seekable():
+        reader, start = _SocReader(), file.tell()  # a replay streams the rows again from here
+    else:
+        import shutil  # here, so that a check of a file loads neither
+        import tempfile
 
-    with tempfile.SpooledTemporaryFile(_CHUNK_BYTES) as spool:
-        shutil.copyfileobj(file, spool, _CHUNK_BYTES)
-        spool.seek(0)
-        return _scan(spool, _SocReader(), check_m, 0)
-
-
-def _scan(
-    file: BinaryIO, reader: _Reader, check_m: Callable[[int], object] | None, start: int
-) -> ProfileScan:
-    """scan_profile() with the reader of the file's format; a soc file is
-    streamed again from start if its rows must be read by name."""
+        with tempfile.SpooledTemporaryFile(_CHUNK_BYTES) as spool:
+            shutil.copyfileobj(file, spool, _CHUNK_BYTES)
+            spool.seek(0)
+            # its documented _file, a BytesIO or, once rolled over, a file:
+            # before Python 3.11 a spool itself has no seekable()
+            return scan_profile(spool._file, fmt, check_m)
     reader.check_m = check_m
     tops: set[tuple[int, ...]] = set()
     lists = _line_lists(file)

@@ -10,8 +10,10 @@ from linkdomain import (
     gen_edge_realizing,
     write_native,
 )
-from linkdomain import cli, graphio, profiles
+from linkdomain import LinkDomainError, cli, graphio, parse_native, parse_preflib_soc, profiles
 from linkdomain.cli import main
+from linkdomain.oracle import DEFAULT_CAP
+from test_parser_parity import CORPUS
 
 K3_PROFILE = (
     "candidates: a, b, c\n"
@@ -280,6 +282,53 @@ class TestOracle:
         assert main(["oracle", k3_path]) == 0
         assert main(["oracle", str(soc), "--format", "soc"]) == 0
         assert capsys.readouterr().out.splitlines() == ["AGREE: linked", "AGREE: linked"]
+
+
+class TestCheckAndOracleReadAlike:
+    """check and oracle read a profile through one path: the same error for
+    the same file, and oracle's verdict is check's."""
+
+    PARSE = {"native": parse_native, "soc": parse_preflib_soc}
+
+    @pytest.mark.parametrize("fmt, data", [
+        ("native", b"candidates: a, b\nx: a > b\n"),
+        ("soc", b"# NUMBER ALTERNATIVES: 2\nx: 1,2\n"),
+        ("native", b"candidates: a, b\n1: a > x\n2: b > a\n"),
+        # the data line read alternative 1's default name, "1", which the
+        # later declaration takes away
+        ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME 1: x\n1: 2,1\n"),
+        # the malformed line is in an earlier chunk than the invalid UTF-8,
+        # which is reported all the same
+        ("native", b"candidates: a, b\n1 a > b\n" + b"\xff" * 64 + b"\n"),
+        ("soc", b"# NUMBER ALTERNATIVES: 2\n1 2\n" + b"\xff" * 64 + b"\n"),
+    ])
+    def test_the_same_error(self, tmp_path, monkeypatch, capsys, fmt, data):
+        monkeypatch.setattr(profiles, "_CHUNK_BYTES", 16)
+        path = tmp_path / "p"
+        path.write_bytes(data)
+        with pytest.raises(LinkDomainError) as parsed:
+            self.PARSE[fmt](data)
+        for command in ("check", "oracle"):
+            assert main([command, str(path), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {parsed.value}\n"), command
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("fmt, text", CORPUS)
+    def test_oracle_agrees_with_check_on_the_corpus(self, tmp_path, capsys, mode, fmt, text):
+        path = tmp_path / "p"
+        path.write_text(text, encoding="utf-8")
+        code = main(["check", str(path), "--mode", mode, "--format", fmt, "--json"])
+        checked = capsys.readouterr()
+        if code != 2:
+            assert json.loads(checked.out)["m"] <= DEFAULT_CAP
+        oracle_code = main(["oracle", str(path), "--mode", mode, "--format", fmt])
+        captured = capsys.readouterr()
+        if code == 2:
+            assert (oracle_code, captured.out, captured.err) == (2, "", checked.err)
+        else:
+            assert oracle_code == 0
+            assert captured.out == ("AGREE: linked\n" if code == 0 else "AGREE: not linked\n")
 
 
 class TestGraphFile:
