@@ -15,7 +15,9 @@ PrefLib support covers strict complete orders (.soc style): ``#`` metadata
 lines (``NUMBER ALTERNATIVES``, ``ALTERNATIVE NAME <i>`` and ``NUMBER
 VOTERS`` are recognized, other keys ignored) followed by data lines
 ``<count>: <id>,<id>,...`` with 1-based alternative ids. Ties and
-incomplete orders are rejected as UnsupportedProfile.
+incomplete orders are rejected as UnsupportedProfile. The first data line
+fixes the names, so a later ``ALTERNATIVE NAME <i>`` line is refused as
+InconsistentMetadata unless its name is ``<i>``, the name the data lines read.
 
 parse_native and parse_preflib_soc return the whole Election, read by one
 line loop for both formats (lines()) in the lists scan_profile takes. A
@@ -25,7 +27,7 @@ that is not written plainly.
 scan_profile reads a profile file in chunks, each cut after its last line
 break of one kind (_line_lists()), and keeps only what the connectivity
 graph needs, so `check` runs in memory bounded by the candidate count
-rather than the file size, even on a soc replay. The reader checks the lines a
+rather than the file size, from a file or a pipe. The reader checks the lines a
 list at a time with C-level built-ins over whole lists (batch()): a join
 with a "\n" marker after each line and a split at ':' give the count fields,
 ranking texts and markers in turn, and a join with a marker after each text
@@ -42,7 +44,7 @@ graphio.
 import re
 from itertools import chain, compress
 from operator import itemgetter, not_, sub
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 from .errors import (
     InconsistentMetadata,
@@ -162,8 +164,7 @@ class _Reader:
     faster step for the same lines. The loop's state lives on the reader,
     so each list goes on where the last one stopped. Once finish() has
     run, names and violations hold the candidate names and every validation
-    failure, votes the vote total, and replay tells whether the rows must
-    be read again by name (see parse_preflib_soc).
+    failure, and votes the vote total.
 
     A subclass gives the two steps of lines() that differ between formats,
     other_line() and exact_ids(), and finish(); of its ranking lines the
@@ -173,7 +174,6 @@ class _Reader:
     noun: str  # what a count field counts, in error messages
     form: str  # what follows the count field, in error messages
     sep: str  # what joins the tokens of a ranking text
-    replay = False  # only a soc file may need its rows read again, by name
     check_m: Callable[[int], object] | None = None  # called with m once a line gives it
 
     def __init__(self) -> None:
@@ -215,11 +215,12 @@ class _Reader:
                 raise ProfileSyntaxError(f"expected '<count>: {self.form}'", line=line_no, column=1)
             count = counts.get(count_part) or self.read_count(count_part, raw, line_no)  # counts are >= 1
             self.row_no += 1  # on the reader, where both hooks read it
+            votes += count  # a line dropped for a violation counts too, as NUMBER VOTERS counts it
             ids = known.get(text) if known else None
             if ids is None:
                 parts = text.lstrip().split(sep)
                 if len(parts) == m:
-                    if not tokens:  # soc builds a map of m tokens here, so never for a shorter text
+                    if not tokens:  # soc fixes its names and builds its map here, so never for a shorter text
                         tokens = self.token_ids()
                     try:
                         ids = tuple(map(tokens.__getitem__, parts))
@@ -236,7 +237,6 @@ class _Reader:
                         known = self.known = None
             else:
                 hit = True
-            votes += count
             yield ids, count
         self.line_no, self.votes = line_no, votes
         self.known_hit = self.known_hit or hit
@@ -292,7 +292,7 @@ class _Reader:
         lines() alone raises and records violations."""
         m, k = self.m, len(lines)
         if not self.bits:
-            if m is None or not 1 < m <= _BATCH_MAX_M or not self.token_ids():
+            if m is None or not 1 < m <= _BATCH_MAX_M or not self.tokens:
                 return False
             bits = {token: 1 << i for token, i in self.tokens.items()}
             self.bits = bits | {" " + token: bit for token, bit in bits.items()} | {"\n": 0}  # "\n": _codes's marker
@@ -406,8 +406,9 @@ def parse_native(text: str | bytes) -> Election:
 
 class _SocReader(_Reader):
     """The PrefLib soc format's steps of the line loop. Its errors in a
-    count field all point at column 1. Its token map, "1".."m" -> 0..m-1, is
-    built only once an order of m tokens, or batch(), needs it."""
+    count field all point at column 1. Its names, and its token map, are
+    fixed only once an order of m tokens needs them (token_ids()), so
+    batch(), which needs the map, waits for the line loop's first data line."""
 
     noun, form, sep = "vote count", "<id>,<id>,...", ","
     count_column = staticmethod(lambda raw, digits: 1)
@@ -415,13 +416,19 @@ class _SocReader(_Reader):
     def __init__(self) -> None:
         super().__init__()
         self.alt_names: dict[int, str] = {}
-        self.named_after: dict[int, int] = {}  # alternative -> data lines read before its name
         self.declared_voters: int | None = None
-        self.repeats_an_id = False
 
     def token_ids(self) -> dict[str, int]:
-        if not self.tokens:
-            self.tokens = {str(k): k - 1 for k in range(1, self.m + 1)}
+        """Fixes the names on first use, at the first data line (or in
+        finish(), for a file without one): each the declared name or else
+        the id. The token map is "1".."m" -> 0..m-1 when the names are
+        valid, so each order resolves to itself, and empty when they are
+        not, so exact_ids() resolves every order by name."""
+        if not self.names:
+            m = self.m
+            names = [self.alt_names.get(k, str(k)) for k in range(1, m + 1)]
+            self.names, self.index = index_candidates(names, self.violations)
+            self.tokens = {} if self.violations else {str(k): k - 1 for k in range(1, m + 1)}
         return self.tokens
 
     def other_line(self, line: str, line_no: int) -> bool:
@@ -461,8 +468,11 @@ class _SocReader(_Reader):
                 raise InconsistentMetadata(
                     f"ALTERNATIVE NAME {idx} declared twice", line=line_no
                 )
+            if self.row_no and value != str(idx):  # the data lines read the name str(idx)
+                raise InconsistentMetadata(
+                    f"ALTERNATIVE NAME {idx} declared after a data line", line=line_no
+                )
             self.alt_names[idx] = value
-            self.named_after[idx] = self.row_no
         elif key == "NUMBER VOTERS" and not index:
             declared_voters = _meta_int(key, value, line_no)
             if declared_voters is None:
@@ -473,17 +483,20 @@ class _SocReader(_Reader):
         # every other key is forward-compatible metadata
         return True
 
-    def exact_ids(self, text: str, line_no: int) -> Vote:
+    def exact_ids(self, text: str, line_no: int) -> Vote | None:
         """The ids _soc_ids reads from an order the token map refused. An
-        order that repeats an id flags the file for replay."""
+        order that repeats an id, or any order under invalid names, is
+        resolved by name through model.resolve_ranking, which records any
+        violation."""
         m = _require_m(self.m, line_no)
         ids = _soc_ids(text.split(","), m, line_no)
-        if len(set(ids)) != m:
-            self.repeats_an_id = True
-        return ids
+        if self.tokens and len(set(ids)) == m:  # valid names: the order resolves to itself
+            return ids
+        names = self.names
+        return resolve_ranking([names[a] for a in ids], self.index, m, self.row_no, self.violations)
 
     def finish(self) -> None:
-        """The checks that need the whole file, then the names and replay."""
+        """The checks that need the whole file, then the names."""
         eof = max(1, self.line_no)
         alternatives = _require_m(self.m, eof)
         for idx in self.alt_names:
@@ -498,25 +511,7 @@ class _SocReader(_Reader):
             raise InconsistentMetadata(
                 f"NUMBER VOTERS is {self.declared_voters} but data lines sum to {total}", line=eof
             )
-        self.names, self.index = index_candidates(
-            [self.alt_names.get(i, str(i)) for i in range(1, alternatives + 1)], self.violations
-        )
-        # a name declared after data lines, which read its default name, matters only if it differs
-        late = any(after and self.alt_names[idx].strip() != str(idx) for idx, after in self.named_after.items())
-        self.replay = bool(self.violations or self.repeats_an_id or late)
-
-    def by_name(self, rows: Iterable[tuple[Vote, int]]) -> Iterator[tuple[Vote, int]]:
-        """The file's rows after finish(), each id read as the name its
-        alternative had when the row was read and resolved against the final
-        names; a row that does not resolve is left out, its violations
-        recorded."""
-        alt_names, named_after, m = self.alt_names, self.named_after, len(self.names)
-        for vote_no, (ids, count) in enumerate(rows, start=1):
-            # the name of each alternative, 1 to m, when this row was read
-            read = [(alt_names[a] if named_after.get(a, vote_no) < vote_no else str(a)).strip() for a in range(1, m + 1)]
-            resolved = resolve_ranking([read[a] for a in ids], self.index, m, vote_no, self.violations)
-            if resolved is not None:
-                yield resolved, count
+        self.token_ids()
 
 
 def _require_m(m: int | None, line_no: int) -> int:
@@ -528,18 +523,14 @@ def _require_m(m: int | None, line_no: int) -> int:
 def parse_preflib_soc(text: str | bytes) -> Election:
     """Parse a PrefLib strict-complete-orders file into a validated Election.
 
-    Names are matched only at the end, and only when they can change the
-    outcome: a missing, empty or repeated name, an order that repeats an id,
-    or a name declared after a data line that read the id's default name,
-    unless the name is that default. Otherwise every line named alternative
-    a by names[a - 1], and the names are distinct, so each order resolves to
-    itself.
+    The first data line fixes the names. Orders are matched by name only
+    when that can change the outcome: under a missing, empty or repeated
+    name, or for an order that repeats an id. Otherwise the names are
+    distinct, so each order resolves to itself.
     """
     reader = _SocReader()
     rows = list(chain.from_iterable(map(reader.lines, _lists(_decode(text).splitlines()))))
     reader.finish()
-    if reader.replay:
-        rows = list(reader.by_name(rows))
     return make_election(reader.names, rows, reader.violations)
 
 
@@ -563,31 +554,18 @@ def scan_profile(
     full before its first hit is dropped; past _CACHE_LIMIT, one that has
     hit takes new rankings only in a list that hit it, so a few repeats
     among new rankings still grow it with the file (ROADMAP item 3).
-    A soc file whose rows must be read again by
-    name (see parse_preflib_soc) is streamed a second time through a fresh
-    reader's line loop, keeping only the top pairs; a soc file that cannot
-    seek back for that, such as a pipe, is first copied to a temporary file,
-    held in memory up to _CHUNK_BYTES. Any other fmt is a ValueError.
+    Either format is read once, from a file or a pipe. Any other fmt is a
+    ValueError.
     check_m, if given, is called with the candidate count as soon as the
     header or NUMBER ALTERNATIVES line gives it, before any later line is
     checked, and may raise to stop the scan there.
     """
     if fmt == "native":
-        reader, start = _NativeReader(), 0
-    elif fmt != "soc":
-        raise ValueError(f"unknown profile format {fmt!r}: expected 'native' or 'soc'")
-    elif file.seekable():
-        reader, start = _SocReader(), file.tell()  # a replay streams the rows again from here
+        reader = _NativeReader()
+    elif fmt == "soc":
+        reader = _SocReader()
     else:
-        import shutil  # here, so that a check of a file loads neither
-        import tempfile
-
-        with tempfile.SpooledTemporaryFile(_CHUNK_BYTES) as spool:
-            shutil.copyfileobj(file, spool, _CHUNK_BYTES)
-            spool.seek(0)
-            # its documented _file, a BytesIO or, once rolled over, a file:
-            # before Python 3.11 a spool itself has no seekable()
-            return scan_profile(spool._file, fmt, check_m)
+        raise ValueError(f"unknown profile format {fmt!r}: expected 'native' or 'soc'")
     reader.check_m = check_m
     tops: set[tuple[int, ...]] = set()
     lists = _line_lists(file)
@@ -600,11 +578,7 @@ def scan_profile(
         for _ in lists:  # invalid UTF-8 anywhere fails first, as it does in parse_*
             pass
         raise
-    if reader.replay:
-        file.seek(start)
-        rows = chain.from_iterable(map(_SocReader().lines, _line_lists(file)))
-        tops = {ids[:2] for ids, _ in reader.by_name(rows)}
-    elif reader.found:  # batch()'s codes, each (1 << first) - (1 << second), mapped to pairs once
+    if reader.found:  # batch()'s codes, each (1 << first) - (1 << second), mapped to pairs once
         m = reader.m
         pairs = {(1 << a) - (1 << b): (a, b) for a in range(m) for b in range(m) if a != b}
         tops.update(map(pairs.__getitem__, reader.found))

@@ -5,7 +5,9 @@ The functions below are kept verbatim (imports aside) so that
 test_parser_parity.py can check that the one-pass parsers accept the same
 language, build equal Elections and fail with the same errors, messages,
 line and column numbers and violation lists. Do not edit them to follow the
-program: they are the specification the program is checked against.
+program: they are the specification the program is checked against. One rule
+was added on purpose, as the program's language changed: parse_preflib_soc
+refuses an ALTERNATIVE NAME line after a data line unless its name is its id.
 """
 
 import re
@@ -132,6 +134,10 @@ def parse_preflib_soc(text: str | bytes) -> Election:
                 if idx in alt_names:
                     raise InconsistentMetadata(
                         f"ALTERNATIVE NAME {idx} declared twice", line=line_no
+                    )
+                if rankings and value != str(idx):
+                    raise InconsistentMetadata(
+                        f"ALTERNATIVE NAME {idx} declared after a data line", line=line_no
                     )
                 alt_names[idx] = value
             elif key == "NUMBER VOTERS" and not index:

@@ -294,8 +294,8 @@ class TestCheckAndOracleReadAlike:
         ("native", b"candidates: a, b\nx: a > b\n"),
         ("soc", b"# NUMBER ALTERNATIVES: 2\nx: 1,2\n"),
         ("native", b"candidates: a, b\n1: a > x\n2: b > a\n"),
-        # the data line read alternative 1's default name, "1", which the
-        # later declaration takes away
+        # the data line read alternative 1's default name, "1", so the
+        # later declaration is refused at its line
         ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME 1: x\n1: 2,1\n"),
         # the malformed line is in an earlier chunk than the invalid UTF-8,
         # which is reported all the same

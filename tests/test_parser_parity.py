@@ -208,6 +208,12 @@ CORPUS = [
     ("soc", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1:\n1: 1,2\n"),
     ("soc", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME 1: b\n"),
     ("soc", "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 3: c\n1: 1,2\n"),
+    # every line is dropped for its violation, yet counts toward NUMBER VOTERS
+    ("soc", "# NUMBER ALTERNATIVES: 2\n# NUMBER VOTERS: 3\n# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME 2: a\n1: 1,2\n2: 2,1\n"),
+    # comments long enough that a list of 64-byte chunks holds one of them
+    # alone, before the names: such a list fixes no name
+    ("soc", "# NUMBER ALTERNATIVES: 3\n" + "# a comment that fills a chunk list alone\n" * 3
+     + "# ALTERNATIVE NAME 1: c\n# ALTERNATIVE NAME 3: a\n1: 1,2,3\n2: 3,1,2\n"),
     ("soc", "# NUMBER ALTERNATIVES: 1\n1: 1\n2: 1\n"),
     ("soc", "# NUMBER ALTERNATIVES: 0\n"),
     ("soc", "# NUMBER ALTERNATIVES: 0\n1: 1\n"),

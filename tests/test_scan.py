@@ -8,6 +8,7 @@ import os
 import random
 import re
 import tempfile
+import threading
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from linkdomain import (
     ConnectivityGraph,
+    InconsistentMetadata,
     UnrepresentableName,
     UnsupportedProfile,
     export_dot,
@@ -122,8 +124,7 @@ def test_invalid_utf8_in_a_later_chunk_keeps_its_line(monkeypatch):
 @pytest.mark.parametrize(
     "fmt, data, summary",
     [
-        # the name declared after the data line renames alternative 1's votes
-        ("soc", b"# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n",
+        ("soc", b"# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n1: 2,1\n",
          (("2", "1"), 1, {(1, 0)})),
         ("native", b"candidates: a, b\n2: b > a\n", (("a", "b"), 2, {(1, 0)})),
     ],
@@ -140,6 +141,32 @@ def test_a_pipe_is_read(fmt, data, summary):
 # Chunks of 64 bytes and 4 KiB give lists of a few and of a few hundred
 # lines; the default gives lists of _BATCH_LINES lines.
 BATCH_CHUNKS = [64, 4096, profiles._CHUNK_BYTES]
+
+
+def _write_and_close(fd: int, data: bytes) -> None:
+    with open(fd, "wb") as pipe:
+        pipe.write(data)
+
+
+def assert_soc_refused_at(monkeypatch, tmp_path, data: bytes, line: int, message: str) -> None:
+    """parse_preflib_soc, and scan_profile at every BATCH_CHUNKS size from a
+    file and from an os.pipe(), refuse the soc data with the same
+    InconsistentMetadata at the same line."""
+    want = (InconsistentMetadata, f"line {line}: {message}", line, None, [])
+    assert outcome(parse_preflib_soc, data) == want
+    path = tmp_path / "refused.soc"
+    path.write_bytes(data)
+    for size in BATCH_CHUNKS:
+        monkeypatch.setattr(profiles, "_CHUNK_BYTES", size)
+        with open(path, "rb") as file:
+            assert outcome(scan_profile, file, "soc") == want, f"file, chunk size {size}"
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=_write_and_close, args=(write_end, data))
+        writer.start()
+        with open(read_end, "rb") as pipe:
+            assert outcome(scan_profile, pipe, "soc") == want, f"pipe, chunk size {size}"
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 def _clean(fmt: str, m: int, lines: int, seed: int) -> tuple[list[str], list[str]]:
@@ -230,51 +257,51 @@ def test_names_with_colons_scan_as_parsed():
 
 
 @pytest.mark.parametrize("tail", ["# ALTERNATIVE NAME 1: z\n", "# NUMBER VOTERS: 1\n"])
-def test_soc_state_carries_across_accepted_lists(monkeypatch, tail):
+def test_soc_state_carries_across_accepted_lists(monkeypatch, tmp_path, tail):
     head, body = _clean("soc", 3, 3000, 1)
     head = [line for line in head if "VOTERS" not in line and "NAME 1:" not in line]
     data = "".join(head + body[:2500] + [tail] + body[2500:]).encode()
     want = expected("soc", data)
     seen = _line_loop_spy(monkeypatch, "soc")
     assert scanned("soc", data) == want
-    # a second reader, if any, is the one that streams the rows again by name
-    assert sum(size for reader, _, size in seen if reader is seen[0][0]) < 3000
+    assert sum(size for _, _, size in seen) < 3000  # the batch step read the lists between
     total = sum(int(line.partition(":")[0]) for line in body)
-    message = {
-        # each of the 2,500 data lines before the name read 1 as alternative 1's name
-        "# ALTERNATIVE NAME 1: z\n": "invalid election (2500 violation(s)): vote 1: unknown candidate '1';",
-        "# NUMBER VOTERS: 1\n": f"line {len(head) + 3001}: NUMBER VOTERS is 1 but data lines sum to {total}",
+    line, message = {
+        # the 2,500 data lines before it read 1 as alternative 1's name
+        "# ALTERNATIVE NAME 1: z\n": (len(head) + 2501, "ALTERNATIVE NAME 1 declared after a data line"),
+        "# NUMBER VOTERS: 1\n": (len(head) + 3001, f"NUMBER VOTERS is 1 but data lines sum to {total}"),
     }[tail]
-    assert want[1].startswith(message)
-
-
-def _not_read_by_name(reader, rows):
-    raise AssertionError("the rows were read again by name")
+    assert want[1] == f"line {line}: {message}"
+    if "NAME" in tail:
+        assert_soc_refused_at(monkeypatch, tmp_path, data, line, message)
 
 
 SOC_3 = "# NUMBER ALTERNATIVES: 3\n", "1: 1,2,3\n2: 2,3,1\n1: 3,1,2\n"
 
 
 @pytest.mark.parametrize("name", ["# ALTERNATIVE NAME 1: 1\n", "# ALTERNATIVE NAME 03:  3\n"])
-def test_a_late_name_equal_to_the_default_is_not_read_again(monkeypatch, name):
-    """Every data line before it read that name already, so each order
-    resolves to itself, as with the name first."""
+def test_a_late_name_equal_to_the_default_is_not_read_again(name):
+    """Every data line before it read that name already, so the file reads
+    as with the name first."""
     head, body = SOC_3
     first, late = (head + name + body).encode(), (head + body + name).encode()
     want = expected("soc", first), scanned("soc", first)
     assert want[0][0] == "ok"
-    monkeypatch.setattr(profiles._SocReader, "by_name", _not_read_by_name)
     assert (expected("soc", late), scanned("soc", late)) == want
 
 
-def test_a_late_swap_of_names_is_read_again(monkeypatch):
-    head, body = SOC_3
-    late = (head + body + "# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n").encode()
-    assert scanned("soc", late) == expected("soc", late) == ("ok", (("2", "1", "3"), 4, {(1, 0), (0, 2), (2, 1)}))
-    monkeypatch.setattr(profiles._SocReader, "by_name", _not_read_by_name)
-    for read in (parse_preflib_soc, lambda data: scan_profile(io.BytesIO(data), "soc")):
-        with pytest.raises(AssertionError, match="read again by name"):
-            read(late)
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        ((SOC_3[0] + SOC_3[1] + "# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n").encode(), 5),
+        (b"# NUMBER ALTERNATIVES: 2\n1: 1,2\n# ALTERNATIVE NAME 1: 2\n# ALTERNATIVE NAME 2: 1\n", 3),
+    ],
+    ids=["m3", "m2"],
+)
+def test_a_late_swap_of_names_is_refused(monkeypatch, tmp_path, data, line):
+    """The data lines read alternative 1 by the name "1", so a later line
+    may not rename it, though the same names before the data are valid."""
+    assert_soc_refused_at(monkeypatch, tmp_path, data, line, "ALTERNATIVE NAME 1 declared after a data line")
 
 
 def _around(head: str, clean: list[str], edge: str) -> bytes:
@@ -623,11 +650,14 @@ class _Pipe:
 
 
 def test_a_soc_pipe_is_scanned_in_the_memory_of_its_file(tmp_path, monkeypatch):
-    # A soc file may have to be read again, so a pipe is copied to a
-    # temporary file, held in memory only up to one chunk.
+    # A soc pipe is streamed once, as its file is, so it takes no more
+    # memory than the file and writes no temporary file, even when its
+    # names are invalid and every order is resolved by name.
     monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
     monkeypatch.setattr(profiles, "_CACHE_LIMIT", 256)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     head, body = _written("soc", 12, _no_repeat_votes(20_000))
     data = "".join(head + body).encode()
     path = tmp_path / "big.soc"
@@ -643,33 +673,13 @@ def test_a_soc_pipe_is_scanned_in_the_memory_of_its_file(tmp_path, monkeypatch):
     scan_pipe()  # first-call allocations, such as imports, are not the scan's
     file_peak, pipe_peak = _traced_peak(scan_file), _traced_peak(scan_pipe)
     assert pipe_peak < file_peak + 4 * profiles._CHUNK_BYTES < len(data), (pipe_peak, file_peak, len(data))
-
-
-def test_a_late_named_soc_file_is_scanned_in_the_memory_of_its_file(tmp_path, monkeypatch):
-    # Names declared after the data are matched by reading the rows again:
-    # streamed a second time, in chunks, whether from a file or a pipe.
-    monkeypatch.setattr(profiles, "_CHUNK_BYTES", 1 << 13)
-    monkeypatch.setattr(profiles, "_CACHE_LIMIT", 256)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    head, body = _written("soc", 12, _no_repeat_votes(20_000))
-    unnamed = [line for line in head if "NAME" not in line]
-    # alternatives 1 and 2 swap names, so the rows must be read again
-    data = "".join(unnamed + body + ["# ALTERNATIVE NAME 1: 2\n", "# ALTERNATIVE NAME 2: 1\n"]).encode()
-    (tmp_path / "first.soc").write_bytes("".join(head + body).encode())
-    (tmp_path / "late.soc").write_bytes(data)
-
-    def scan_file(name):
-        with open(tmp_path / name, "rb") as file:
-            assert scan_profile(file, "soc").n == 20_000
-
-    def scan_pipe():
-        assert scan_profile(_Pipe(data), "soc").n == 20_000
-
-    scan_pipe()  # first-call allocations, such as imports, are not the scan's
-    first_peak = _traced_peak(lambda: scan_file("first.soc"))
-    for scan in (lambda: scan_file("late.soc"), scan_pipe):
-        late_peak = _traced_peak(scan)
-        assert late_peak < first_peak + 4 * profiles._CHUNK_BYTES < len(data), (late_peak, first_peak, len(data))
+    # alternatives 1 and 2 share a name, so every order records a violation
+    shared = data.replace(b"# ALTERNATIVE NAME 2: c1\n", b"# ALTERNATIVE NAME 2: c0\n")
+    assert shared != data
+    want = expected("soc", shared)
+    assert want[0] is profiles.InvalidElection
+    assert scanned("soc", shared, _Pipe(shared)) == want
+    assert not any(temp.iterdir())
 
 
 @pytest.mark.parametrize(
