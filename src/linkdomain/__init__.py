@@ -65,7 +65,6 @@ _LAZY = {
     "gen_random_graph": "generate",
     "brute_force_linked": "oracle",
     "enumerate_graphs": "oracle",
-    "linked_via_all_pair_seeds": "oracle",
 }
 
 
@@ -122,7 +121,6 @@ __all__ = [
     "gen_random_graph",
     "greedy_closure",
     "kernels",
-    "linked_via_all_pair_seeds",
     "parse_graph",
     "parse_native",
     "parse_preflib_soc",

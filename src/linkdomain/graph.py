@@ -169,8 +169,10 @@ def build_graph(profile: "Election | ProfileScan", mode: Mode = Mode.STRONG) -> 
     Election. O(n + m^2) regardless of how many votes there are. A
     one-candidate election has no top pairs and gives the one-vertex graph.
     Each edge is passed to the constructor once, so it never has to rebuild
-    its rows for a pair seen in both orders.
+    its rows for a pair seen in both orders. The mode is a Mode or its
+    value ("strong", "weak"); anything else raises ValueError.
     """
+    mode = Mode(mode)
     pairs = profile.top_pairs
     if mode is Mode.STRONG:
         edges = [(a, b) for a, b in pairs if a < b and (b, a) in pairs]

@@ -1,10 +1,10 @@
 """Brute-force references for small instances.
 
 Independent of the production path on purpose: adjacency is re-derived as
-bitmasks, orders are searched depth-first with each set of placed candidates
-expanded at most once, and the all-pairs variant re-implements the closure
-with a rescan loop. These exist to catch bugs in recognize(), so they share
-nothing with it beyond the definition of a linked order.
+bitmasks, and orders are searched depth-first with each set of placed
+candidates expanded at most once. The search exists to catch bugs in
+recognize(), so it shares nothing with it beyond the definition of a
+linked order.
 """
 
 from itertools import combinations
@@ -58,31 +58,6 @@ def brute_force_linked(
                 return False, None
             placed ^= 1 << order.pop()
     return True, tuple(order)
-
-
-def linked_via_all_pair_seeds(graph: ConnectivityGraph) -> bool:
-    """Seed every unordered vertex pair, as if none could be skipped.
-
-    A pair's subinstance is a yes only when its closure covers everything
-    AND the pair is an edge; a full flood from a non-edge seed (seed {a, b}
-    on the path a-c-b, say) still yields an order whose first two entries
-    are unconnected. Used to check that edge-only seeding loses nothing.
-    """
-    m = graph.m
-    if m == 1:
-        return True
-    for a, b in combinations(range(m), 2):
-        reached = {a, b}
-        grew = True
-        while grew:
-            grew = False
-            for v in range(m):
-                if v not in reached and sum(w in reached for w in graph.neighbors(v)) >= 2:
-                    reached.add(v)
-                    grew = True
-        if len(reached) == m and graph.has_edge(a, b):
-            return True
-    return False
 
 
 def enumerate_graphs(m: int) -> Iterator[ConnectivityGraph]:

@@ -36,32 +36,27 @@ LinkedOrder = tuple[int, ...]
 class StuckCertificate(Mapping):
     """Read-only map seed edge -> stuck reached set, proof of a NO verdict.
 
-    A certificate holds the graph and the `sizes` list the seed sweep
-    wrote, one entry per edge in seed order: the stuck-set size of a seed
-    the sweep decided, 2 for one whose ends share no neighbor, wherever it
-    lies, and 0 for one it skipped because it lies inside an earlier stuck
-    set. Holding one costs that list and nothing more:
-    len() and max_stuck_size answer from it, and iteration walks the
-    graph's seed lists. A lookup by key ([], `in`, stuck_size()) finds the
-    seed by bisecting those lists (seed_u ascending, seed_v ascending
-    within each lower end) and keeps nothing; it finds what a dict keyed by
-    the seed edges would, so (1.0, 2.0) finds the seed (1, 2) and an
-    unhashable key raises TypeError. Stuck sets are recomputed on access
-    by greedy_closure from the stored seed, never stored: a lookup costs
+    A certificate holds the graph, its seed count and the largest stuck-set
+    size, and nothing per seed: len() and max_stuck_size answer from the
+    counts, and iteration walks the graph's seed lists. A lookup by key
+    ([], `in`, stuck_size()) finds the seed by bisecting those lists
+    (seed_u ascending, seed_v ascending within each lower end) and keeps
+    nothing; it finds what a dict keyed by the seed edges would, so
+    (1.0, 2.0) finds the seed (1, 2) and an unhashable key raises
+    TypeError. [] and stuck_size() recompute the stuck set by
+    greedy_closure from the stored seed, never store it: a lookup costs
     m bytes plus the rows of the stuck set's vertices.
-    stuck_size() answers from the stored entry, and recomputes the closure
-    only for a skipped seed. max_stuck_size is exact from the run seeds
-    alone, since a skipped seed's closure lies inside a run one.
     """
 
-    __slots__ = ("_graph", "_sizes")
+    __slots__ = ("_graph", "_seeds", "_max_stuck_size")
 
-    def __init__(self, graph: ConnectivityGraph, sizes: Sequence[int]):
+    def __init__(self, graph: ConnectivityGraph, seeds: int, max_stuck_size: int):
         self._graph = graph
-        self._sizes = sizes
+        self._seeds = seeds
+        self._max_stuck_size = max_stuck_size
 
-    def _find(self, seed: object) -> tuple[int, Edge]:
-        """(position, stored edge) of the seed equal to `seed`; KeyError if none is."""
+    def _find(self, seed: object) -> Edge:
+        """The stored edge equal to `seed`; KeyError if none is."""
         hash(seed)  # an unhashable key raises TypeError, as a dict lookup does
         seed_u, seed_v = self._graph.seed_arrays()
         if isinstance(seed, tuple) and len(seed) == 2:
@@ -73,11 +68,11 @@ class StuckCertificate(Mapping):
                 raise KeyError(seed) from None
             # The bisects narrow the search; equality decides, as in a dict.
             if i < len(seed_u) and (edge := (seed_u[i], seed_v[i])) == seed:
-                return i, edge
+                return edge
         raise KeyError(seed)
 
     def __getitem__(self, seed: Edge) -> frozenset[int]:
-        return frozenset(greedy_closure(self._graph, self._find(seed)[1]))
+        return frozenset(greedy_closure(self._graph, self._find(seed)))
 
     def __contains__(self, seed: object) -> bool:
         try:
@@ -90,15 +85,14 @@ class StuckCertificate(Mapping):
         return zip(*self._graph.seed_arrays())
 
     def __len__(self) -> int:
-        return len(self._sizes)
+        return self._seeds
 
     def stuck_size(self, seed: Edge) -> int:
-        i, edge = self._find(seed)
-        return self._sizes[i] or len(greedy_closure(self._graph, edge))
+        return len(greedy_closure(self._graph, self._find(seed)))
 
     @property
     def max_stuck_size(self) -> int:
-        return max(self._sizes, default=0)
+        return self._max_stuck_size
 
 
 class RecognitionResult(Record):
@@ -198,9 +192,11 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
     order = kernels.sweep_seeds(*graph.csr_arrays(), seed_u, seed_v, graph.m, sizes)
 
     if order is None:
-        return RecognitionResult(linked=False, certificate=StuckCertificate(graph, sizes))
+        # The max is exact: a skipped seed reads 0, and its stuck set lies inside a run one's.
+        certificate = StuckCertificate(graph, len(sizes), max(sizes, default=0))
+        return RecognitionResult(linked=False, certificate=certificate)
     witness = tuple(order)
-    del order, sizes  # only a NO certificate keeps the sizes
+    del order, sizes  # the witness check needs neither
     if not verify_witness(graph, witness):
         raise RuntimeError("the seed sweep produced an invalid witness; this is a bug")
     return RecognitionResult(linked=True, witness=witness)

@@ -7,7 +7,9 @@ class Record:
     """Base of the package's immutable value types. A subclass lists its
     fields in __slots__, in constructor order, and fills them in __init__
     with _fill(). Records compare and hash by their field values, and only
-    with records of the same class; repr() shows every field; positional
+    with records of the same class, so a record holding an unhashable value
+    (a NOT-linked result's certificate, a Mapping) is unhashable, and == runs
+    that value's own ==; repr() shows every field; positional
     match patterns and pickling take the fields in that order; assigning or
     deleting a field raises AttributeError."""
 

@@ -26,7 +26,6 @@ from linkdomain import (
     gen_pendant_clique,
     gen_random_graph,
     greedy_closure,
-    linked_via_all_pair_seeds,
     parse_graph,
     parse_native,
     parse_preflib_soc,
@@ -36,6 +35,8 @@ from linkdomain import (
     write_native,
 )
 from linkdomain.model import election_from_ids
+
+from references import linked_via_all_pair_seeds
 
 
 def _report(num: int, ok: bool, desc: str, detail: str = "") -> None:

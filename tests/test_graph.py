@@ -15,6 +15,7 @@ from linkdomain import (
     export_dot,
     gen_linked_graph,
     recognize,
+    recognize_election,
 )
 from linkdomain.model import election_from_ids
 
@@ -106,6 +107,18 @@ class TestBuildGraph:
         e = make(3, [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)])
         assert build_graph(e, Mode.WEAK).edges == ((0, 1), (1, 2))
         assert flat_calls == [3]
+
+    def test_mode_given_by_its_value(self):
+        # Mode is a str enum, so Mode.STRONG == "strong"; a mode tested by
+        # identity built the weak graph for the string "strong".
+        e = make(3, [(0, 1, 2), (1, 2, 0)])
+        for mode in Mode:
+            assert build_graph(e, mode.value) == build_graph(e, mode)
+            assert recognize_election(e, mode.value) == recognize_election(e, mode)
+        assert build_graph(e, "strong").edges == ()
+        for bad in ("bogus", "Strong", None):
+            with pytest.raises(ValueError):
+                build_graph(e, bad)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_single_candidate_gives_one_vertex(self, mode):

@@ -16,7 +16,7 @@ LAZY_NAMES = {
     "model": ["Election", "ProfileScan", "Vote", "default_names", "validate_election"],
     "generate": ["gen_edge_realizing", "gen_impartial_culture", "gen_linked_graph", "gen_pendant_clique",
                  "gen_random_graph"],
-    "oracle": ["brute_force_linked", "enumerate_graphs", "linked_via_all_pair_seeds"],
+    "oracle": ["brute_force_linked", "enumerate_graphs"],
     "graphio": ["export_dot", "parse_graph", "write_native"],
 }
 IMPORT_SET_CHECK = """

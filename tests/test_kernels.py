@@ -14,6 +14,7 @@ light, and mixed; the test checks from the degrees which one it got.
 import math
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -361,6 +362,90 @@ def windmill_k4(k: int) -> ConnectivityGraph:
         a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
         edges += [(r, a), (r, b), (r, c), (a, b), (a, c), (b, c), (c, r2)]
     return ConnectivityGraph(3 * k + 2, edges)
+
+
+def _pair(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+@st.composite
+def _block(draw, vertices: list[int]) -> set[tuple[int, int]]:
+    """Random edges on `vertices` (four or more), then each vertex joined to
+    others in the block until its degree within the block is at least 3."""
+    pairs = [_pair(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))))
+    for v in vertices:
+        need = 3 - sum(v in e for e in edges)
+        if need > 0:
+            others = draw(st.permutations([w for w in vertices if w != v and _pair(v, w) not in edges]))
+            edges.update(_pair(v, w) for w in others[:need])
+    return edges
+
+
+@st.composite
+def no_heavy_graphs(draw) -> ConnectivityGraph:
+    """Graphs with minimum degree >= 3 and m <= DEFAULT_CAP, from families that
+    are mostly not linked:
+    - blocks: two or three dense blocks, each joined to the graph before it
+      at a single vertex, so every stuck set lies in one block;
+    - tower: the tower T_k, k <= 4, less one edge whose ends keep degree 3;
+    - windmill: a K4 windmill with 3 to 5 blades, plus up to two random edges;
+    - nested: a dense core under one to four triangles, each triangle vertex
+      joined to a random vertex of the triangle below (of the core, for the
+      first), so a triangle's closure can take in all below it and the
+      stuck sets nest.
+    The vertices are relabeled at random, which reorders the seeds."""
+    family = draw(st.sampled_from(["blocks", "tower", "windmill", "nested"]))
+    if family == "blocks":
+        m = draw(st.integers(4, 7))
+        edges = draw(_block(list(range(m))))
+        for _ in range(draw(st.integers(1, 2))):
+            size = draw(st.integers(4, min(8, DEFAULT_CAP + 1 - m)))
+            edges |= draw(_block([draw(st.integers(0, m - 1)), *range(m, m + size - 1)]))
+            m += size - 1
+    elif family == "tower":
+        g = tower(draw(st.integers(1, 4)))
+        removable = [(u, v) for u, v in g.edges if min(g.degree(u), g.degree(v)) >= 4]
+        m, edges = g.m, set(g.edges) - {draw(st.sampled_from(removable))}
+    elif family == "windmill":
+        g = windmill_k4(draw(st.integers(3, 5)))
+        pairs = [(u, v) for u in range(g.m) for v in range(u + 1, g.m)]
+        m, edges = g.m, set(g.edges) | set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    else:
+        m = draw(st.integers(4, 6))
+        edges = draw(_block(list(range(m))))
+        below = list(range(m))
+        for _ in range(draw(st.integers(1, (DEFAULT_CAP - m) // 3))):
+            x, y, z = m, m + 1, m + 2
+            edges |= {(x, y), (x, z), (y, z)} | {_pair(v, draw(st.sampled_from(below))) for v in (x, y, z)}
+            below, m = [x, y, z], m + 3
+    sigma = draw(st.permutations(range(m)))
+    return ConnectivityGraph(m, [(sigma[u], sigma[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(no_heavy_graphs())
+def test_sweep_matches_the_oracle_on_no_heavy_families(g):
+    # At m <= 18 heavy_cut is 1, so the plain sweep grows every seed by
+    # bitmasks. Patched to m + 1 every vertex is light, and the list loop,
+    # the row-set filter and the row-scan recording of stuck sets act; at
+    # 4, the degree-3 vertices are light and the rest heavy, so closures
+    # switch from the list loop to the bitset one. All three must give the
+    # oracle's verdict and one witness.
+    assert min(map(g.degree, range(g.m))) >= 3 and g.m <= DEFAULT_CAP
+    linked, _ = brute_force_linked(g)
+    results = [recognize(g)]
+    for cut in (g.m + 1, 4):
+        with patch.object(kernels, "heavy_cut", lambda m: cut):
+            results.append(recognize(g))
+    for result in results:
+        assert result.linked == linked
+    if linked:
+        assert verify_witness(g, results[0].witness)
+        assert {result.witness for result in results} == {results[0].witness}
+    else:
+        stuck = max(len(greedy_closure(g, seed)) for seed in g.edges)
+        assert {result.certificate.max_stuck_size for result in results} == {stuck}
 
 
 def complete_bipartite(n: int) -> ConnectivityGraph:

@@ -1,10 +1,12 @@
 import copy
+import importlib
 import pickle
 
 import pytest
 from hypothesis import given
 
 from linkdomain import (
+    ConnectivityGraph,
     DuplicateCandidateName,
     Election,
     EmptyCandidateSet,
@@ -15,6 +17,7 @@ from linkdomain import (
     RecognitionResult,
     UnknownCandidate,
     default_names,
+    recognize,
     validate_election,
 )
 from linkdomain.model import election_from_ids
@@ -159,6 +162,27 @@ class TestRecordValues:
 
         assert Named(("a",), ()) != Election(("a",), ())
         assert Named(("a",), ()) == Named(("a",), ())
+
+    def test_not_linked_result_is_unhashable_and_compares_stuck_sets(self, monkeypatch):
+        # The certificate is a Mapping, so it has no hash, and == compares
+        # two certificates as mappings: every stuck set, on both sides, is
+        # recomputed by greedy_closure.
+        module = importlib.import_module("linkdomain.recognize")
+        closure = module.greedy_closure
+        calls = []
+
+        def counted(graph, seed):
+            calls.append(seed)
+            return closure(graph, seed)
+
+        path = [(0, 1), (1, 2)]
+        result = recognize(ConnectivityGraph(3, path))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
+        monkeypatch.setattr(module, "greedy_closure", counted)
+        assert result == recognize(ConnectivityGraph(3, path))
+        assert calls == path * 2
+        assert result != recognize(ConnectivityGraph(3, [(0, 2), (1, 2)]))
 
     def test_defaults_and_patterns(self):
         result = RecognitionResult(linked=False)

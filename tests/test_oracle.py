@@ -11,12 +11,12 @@ from linkdomain import (
     brute_force_linked,
     enumerate_graphs,
     gen_pendant_clique,
-    linked_via_all_pair_seeds,
     recognize,
     verify_witness,
 )
 from linkdomain.oracle import DEFAULT_CAP
 
+from references import linked_via_all_pair_seeds
 from strategies import graphs
 
 K3 = ConnectivityGraph(3, [(0, 1), (0, 2), (1, 2)])

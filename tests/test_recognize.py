@@ -241,8 +241,8 @@ class TestRecognize:
 
     @pytest.mark.usefixtures("seed_lists_refused_after_sweep")
     def test_certificate_answers_len_and_max_without_the_seed_lists(self):
-        # The certificate keeps the sizes the sweep wrote; only iteration
-        # and a lookup by key read the graph's seed lists.
+        # The certificate keeps the seed count and the largest stuck-set
+        # size; only iteration and a lookup by key read the graph's seed lists.
         g = gen_pendant_clique(40)
         cert = recognize(g).certificate
         assert len(cert) == 39 * 38 // 2 + 1
@@ -282,6 +282,24 @@ class TestRecognize:
             for lookup in (cert.__contains__, cert.__getitem__, cert.get, cert.stuck_size):
                 with pytest.raises(TypeError):
                     lookup(unhashable)
+
+    def test_not_linked_result_keeps_nothing_per_seed(self):
+        # K_{300,300}, 90,000 seeds. The result keeps the graph it was given
+        # and two counts: 140 traced bytes on CPython 3.10.13 to 3.13.0. A
+        # certificate that kept the sweep's per-seed sizes kept 720,160. The
+        # untraced first call fills the interpreter's per-code caches, which
+        # a first call on 3.10 would otherwise count: 4,084 bytes.
+        g = ConnectivityGraph(600, [(u, w) for u in range(300) for w in range(300, 600)])
+        recognize(g)
+        tracemalloc.start()
+        try:
+            result = recognize(g)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.linked
+        assert len(result.certificate) == 90_000 and result.certificate.max_stuck_size == 2
+        assert kept <= 4096
 
     def test_certificate_lookup_keeps_nothing(self):
         # K_{300,300}, 90,000 seeds, each stuck at its two ends. The first
