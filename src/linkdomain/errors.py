@@ -78,7 +78,8 @@ class InvalidElection(LinkDomainError):
 class UnrepresentableName(LinkDomainError):
     """Candidate name the native format cannot carry: it contains a character
     the grammar reserves (',', '>', newline), is empty, or has surrounding
-    whitespace, which the parser trims."""
+    whitespace, which the parser trims; or a vertex name with a line break,
+    which DOT text cannot carry."""
 
 
 class SeedNotEdge(LinkDomainError):

@@ -106,9 +106,13 @@ def _parse_dot(body: list[tuple[int, str]], eof: int) -> tuple[ConnectivityGraph
 
 def export_dot(graph: ConnectivityGraph, names: Sequence[str]) -> str:
     """Graphviz text for the graph: isolated vertices first, then edges
-    ascending. parse_graph reads it back to the same names and named edges."""
+    ascending. parse_graph reads it back to the same names and named edges;
+    a name with a line break raises UnrepresentableName."""
     if len(names) != graph.m:
         raise ValueError(f"expected {graph.m} names, got {len(names)}")
+    for name in names:  # parse_graph splits lines with str.splitlines, at more breaks than '\n'
+        if name and name.splitlines() != [name]:
+            raise UnrepresentableName(f"vertex name {name!r} contains a line break, which parse_graph would split")
     lines = ["graph {"]
     for v in range(graph.m):
         if graph.degree(v) == 0:

@@ -41,7 +41,8 @@ graph: a closure runs the plain list loop until it absorbs its first heavy
 vertex (in a graph with none, to the end), so a seed that never meets one
 does no bitset work. The closure is order-insensitive (absorbing a vertex
 never lowers another vertex's count), so the FIFO worklist reaches the
-same set as any other tie-break.
+same set as any other tie-break. closure() runs the same routine on one
+seed with no heavy vertex, which is the list loop alone.
 """
 
 from collections.abc import Sequence
@@ -158,6 +159,14 @@ def sweep_seeds(
     return None
 
 
+def closure(indptr: Sequence[int], indices: Sequence[int], m: int, a: int, b: int) -> list[int]:
+    """Absorption order of seed edge (a, b), its ends first: _grow with no
+    heavy vertex (`rows` empty), so the list loop alone, on m bytes of stamps."""
+    stamp = bytearray(m)
+    stamp[a] = stamp[b] = 2
+    return _grow(a, b, 1, 2, indptr, indices, None, {}, stamp, 0)[0]
+
+
 def _grow(
     a, b, one, mem, ptr, indices, masks, rows, stamp, nbytes
 ) -> tuple[list[int], bytearray | None]:
@@ -177,7 +186,7 @@ def _grow(
     push = queue.append
     absorbed = iter(queue)  # sees the vertices pushed while it runs
     for v in absorbed:
-        if masks[v]:
+        if v in rows:
             break
         for w in indices[ptr[v] : ptr[v + 1]]:
             t = stamp[w]

@@ -13,12 +13,11 @@ an unconnected pair is invalid outright.
 
 The reached set of a seed does not depend on absorption order (absorbing a
 vertex never lowers another vertex's count), so any tie-break gives the
-same verdict. The seed sweep (linkdomain.kernels) and greedy_closure, the
-reference closure, both absorb first in, first out, so the witness is
-greedy_closure(graph, s) for the first seed s whose closure covers.
+same verdict. The seed sweep (linkdomain.kernels) absorbs first in, first
+out, and greedy_closure runs its closure loop on one seed, so the witness
+is greedy_closure(graph, s) for the first seed s whose closure covers.
 """
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -36,39 +35,35 @@ LinkedOrder = tuple[int, ...]
 class StuckCertificate(Mapping):
     """Read-only map seed edge -> stuck reached set, proof of a NO verdict.
 
-    A certificate holds the graph, its seed count and the largest stuck-set
-    size, and nothing per seed: len() and max_stuck_size answer from the
-    counts, and iteration walks the graph's seed lists. A lookup by key
-    ([], `in`, stuck_size()) finds the seed by bisecting those lists
-    (seed_u ascending, seed_v ascending within each lower end) and keeps
-    nothing; it finds what a dict keyed by the seed edges would, so
-    (1.0, 2.0) finds the seed (1, 2) and an unhashable key raises
+    A certificate holds the graph and the largest stuck-set size, and
+    nothing per seed: len() is half the adjacency's length, max_stuck_size
+    is stored, and iteration walks the graph's seed lists. A lookup by key
+    ([], `in`, stuck_size()) turns the key's ends into ints and finds the
+    seed by the graph's row search, has_edge, keeping nothing; it finds
+    what a dict keyed by the seed edges would, so (1.0, 2.0) finds the
+    seed (1, 2), (2, 1) finds nothing and an unhashable key raises
     TypeError. [] and stuck_size() recompute the stuck set by
-    greedy_closure from the stored seed, never store it: a lookup costs
-    m bytes plus the rows of the stuck set's vertices.
+    greedy_closure from the seed, never store it: a lookup costs m bytes
+    plus the rows of the stuck set's vertices.
     """
 
-    __slots__ = ("_graph", "_seeds", "_max_stuck_size")
+    __slots__ = ("_graph", "_max_stuck_size")
 
-    def __init__(self, graph: ConnectivityGraph, seeds: int, max_stuck_size: int):
+    def __init__(self, graph: ConnectivityGraph, max_stuck_size: int):
         self._graph = graph
-        self._seeds = seeds
         self._max_stuck_size = max_stuck_size
 
     def _find(self, seed: object) -> Edge:
-        """The stored edge equal to `seed`; KeyError if none is."""
+        """The seed edge equal to `seed`, as plain ints; KeyError if none is."""
         hash(seed)  # an unhashable key raises TypeError, as a dict lookup does
-        seed_u, seed_v = self._graph.seed_arrays()
         if isinstance(seed, tuple) and len(seed) == 2:
-            u, v = seed
             try:
-                lo = bisect_left(seed_u, u)
-                i = bisect_left(seed_v, v, lo, bisect_right(seed_u, u, lo))
-            except TypeError:  # an end that no int compares with
+                u, v = map(int, seed)
+            except (TypeError, ValueError, OverflowError):  # an end with no int value: None, nan, inf
                 raise KeyError(seed) from None
-            # The bisects narrow the search; equality decides, as in a dict.
-            if i < len(seed_u) and (edge := (seed_u[i], seed_v[i])) == seed:
-                return edge
+            # Equality decides, as in a dict: (0.5, 1) converts to (0, 1) but misses.
+            if (u, v) == seed and u < v and self._graph.has_edge(u, v):
+                return u, v
         raise KeyError(seed)
 
     def __getitem__(self, seed: Edge) -> frozenset[int]:
@@ -85,7 +80,7 @@ class StuckCertificate(Mapping):
         return zip(*self._graph.seed_arrays())
 
     def __len__(self) -> int:
-        return self._seeds
+        return len(self._graph.csr_arrays()[1]) // 2
 
     def stuck_size(self, seed: Edge) -> int:
         return len(greedy_closure(self._graph, self._find(seed)))
@@ -116,28 +111,16 @@ def greedy_closure(graph: ConnectivityGraph, seed: Edge) -> tuple[int, ...]:
 
     Returns the absorption order: the seed with its lower end first, then
     each vertex in the order it reached two absorbed neighbors, the
-    absorbed vertices' rows read first in, first out and each ascending,
-    which is the order the seed sweep absorbs in. The reached set is
+    absorbed vertices' rows read first in, first out and each ascending, as
+    kernels.closure, the seed sweep's own loop, absorbs. The reached set is
     maximal and independent of that order; relabeling the graph gives
-    another order. Costs m bytes of counts plus the rows of the vertices
+    another order. Costs m bytes of stamps plus the rows of the vertices
     absorbed. Raises SeedNotEdge when the seed pair is not an edge.
     """
     a, b = (seed[0], seed[1]) if seed[0] < seed[1] else (seed[1], seed[0])
     if not graph.has_edge(a, b):
         raise SeedNotEdge(f"seed ({a}, {b}) is not an edge")
-    count = bytearray(graph.m)  # absorbed neighbors, saturating at 2; members read 2
-    count[a] = count[b] = 2
-    order = [a, b]
-    push = order.append
-    for v in order:  # sees the vertices pushed while it runs
-        for w in graph.neighbors(v):
-            c = count[w]
-            if not c:
-                count[w] = 1
-            elif c == 1:
-                count[w] = 2
-                push(w)
-    return tuple(order)
+    return tuple(kernels.closure(*graph.csr_arrays(), graph.m, a, b))
 
 
 def verify_witness(graph: ConnectivityGraph, witness: Sequence[int]) -> bool:
@@ -193,7 +176,7 @@ def recognize(graph: ConnectivityGraph) -> RecognitionResult:
 
     if order is None:
         # The max is exact: a skipped seed reads 0, and its stuck set lies inside a run one's.
-        certificate = StuckCertificate(graph, len(sizes), max(sizes, default=0))
+        certificate = StuckCertificate(graph, max(sizes, default=0))
         return RecognitionResult(linked=False, certificate=certificate)
     witness = tuple(order)
     del order, sizes  # the witness check needs neither

@@ -1,13 +1,37 @@
 """References that only the tests use, kept out of the shipped package.
 
-linked_via_all_pair_seeds re-implements the 2-neighbor closure with a
-rescan loop and seeds it from every vertex pair, so it shares nothing with
-recognize() beyond the definition of a linked order.
+fifo_closure is the 2-neighbor closure of one seed as its own first-in,
+first-out loop over neighbors() with a count per vertex, so it shares no
+code with kernels, whose closure greedy_closure and the seed sweep run; it
+absorbs in the same order, so the tests compare orders, not only sets.
+linked_via_all_pair_seeds re-implements the closure with a rescan loop and
+seeds it from every vertex pair, so it shares nothing with recognize()
+beyond the definition of a linked order.
 """
 
 from itertools import combinations
 
 from linkdomain import ConnectivityGraph
+
+
+def fifo_closure(graph: ConnectivityGraph, seed: tuple[int, int]) -> tuple[int, ...]:
+    """Absorption order of the closure of a seed edge: its lower end, its
+    higher end, then each vertex as it reaches two absorbed neighbors, the
+    absorbed vertices' rows read first in, first out and each ascending."""
+    a, b = sorted(seed)
+    count = bytearray(graph.m)  # absorbed neighbors, saturating at 2; members read 2
+    count[a] = count[b] = 2
+    order = [a, b]
+    push = order.append
+    for v in order:  # sees the vertices pushed while it runs
+        for w in graph.neighbors(v):
+            c = count[w]
+            if not c:
+                count[w] = 1
+            elif c == 1:
+                count[w] = 2
+                push(w)
+    return tuple(order)
 
 
 def linked_via_all_pair_seeds(graph: ConnectivityGraph) -> bool:

@@ -11,6 +11,7 @@ import linkdomain.graph
 from linkdomain import (
     ConnectivityGraph,
     Mode,
+    UnrepresentableName,
     build_graph,
     export_dot,
     gen_linked_graph,
@@ -446,3 +447,11 @@ class TestExportDot:
     def test_name_count_checked(self):
         with pytest.raises(ValueError):
             export_dot(ConnectivityGraph(2, []), ("a",))
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\u2028b", "a\n"])
+    def test_name_with_a_line_break_refused(self, name):
+        # parse_graph splits lines at every break str.splitlines knows, so
+        # such a name cannot be read back.
+        g = ConnectivityGraph(2, [(0, 1)])
+        with pytest.raises(UnrepresentableName, match="line break"):
+            export_dot(g, [name, "c"])

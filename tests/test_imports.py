@@ -82,8 +82,8 @@ def test_library_import_loads_only_the_recognizer():
 
 
 def test_certificate_lookup_loads_no_heap():
-    """Every lookup of a NOT-linked certificate runs the reference closure,
-    a first-in, first-out loop: iterating one loads no heap module."""
+    """Every lookup of a NOT-linked certificate runs kernels.closure, a
+    first-in, first-out loop: iterating one loads no heap module."""
     assert run_fresh(CERTIFICATE_LOOKUP_CHECK) == ["False"]
 
 

@@ -32,7 +32,8 @@ from linkdomain import (
 )
 from linkdomain.oracle import DEFAULT_CAP
 
-from strategies import graphs_with_edges
+from references import fifo_closure
+from strategies import graphs, graphs_with_edges
 
 
 def run(g):
@@ -59,10 +60,10 @@ def heavy_vertices(g) -> list[int]:
 
 
 def assert_matches_ordered_closure(g) -> list[frozenset]:
-    """Check the kernel contract against greedy_closure; returns the closures of the seeds run.
+    """Check the kernel contract against fifo_closure; returns the closures of the seeds run.
 
     The winner is the first covering seed, and the witness its closure in
-    greedy_closure's order. A seed reads 2 exactly when its ends share no
+    fifo_closure's order. A seed reads 2 exactly when its ends share no
     neighbor, since the filter runs before the subsumption test."""
     winner, sizes = run(g)
     stop = len(g.edges) if winner < 0 else winner + 1
@@ -71,7 +72,7 @@ def assert_matches_ordered_closure(g) -> list[frozenset]:
         a, b = g.edges[i]
         assert (sizes[i] == 2) == (not share_a_neighbor(g, a, b)), (i, sizes[i])
         if sizes[i]:
-            order = greedy_closure(g, (a, b))
+            order = fifo_closure(g, (a, b))
             closure = frozenset(order)
             assert sizes[i] == len(closure), (i, sizes[i], len(closure))
             assert (len(closure) == g.m) == (i == winner)
@@ -90,7 +91,7 @@ def test_pure_sweep_matches_ordered_closure(g):
     cut = kernels.heavy_cut(g.m)
     assert all(g.degree(v) >= cut for v in range(g.m) if g.degree(v))
     winner, sizes = run(g)
-    closures = [frozenset(greedy_closure(g, seed)) for seed in g.edges]
+    closures = [frozenset(fifo_closure(g, seed)) for seed in g.edges]
     assert winner == next((i for i, c in enumerate(closures) if len(c) == g.m), -1)
     stop = len(g.edges) if winner < 0 else winner + 1
     for i in range(stop):
@@ -444,8 +445,21 @@ def test_sweep_matches_the_oracle_on_no_heavy_families(g):
         assert verify_witness(g, results[0].witness)
         assert {result.witness for result in results} == {results[0].witness}
     else:
-        stuck = max(len(greedy_closure(g, seed)) for seed in g.edges)
+        stuck = max(len(fifo_closure(g, seed)) for seed in g.edges)
         assert {result.certificate.max_stuck_size for result in results} == {stuck}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(), no_heavy_graphs()))
+def test_every_closure_the_library_returns_is_the_references(g):
+    # greedy_closure and a certificate's lookups run kernels.closure, the
+    # sweep's own list loop; fifo_closure shares no code with it.
+    result = recognize(g)
+    for seed in g.edges:
+        order = fifo_closure(g, seed)
+        assert greedy_closure(g, seed) == order
+        if not result.linked:
+            assert result.certificate[seed] == frozenset(order)
 
 
 def complete_bipartite(n: int) -> ConnectivityGraph:

@@ -25,6 +25,7 @@ from linkdomain import (
 from linkdomain.model import election_from_ids
 from linkdomain.oracle import enumerate_graphs
 
+from references import fifo_closure
 from strategies import graphs, graphs_with_edges
 
 K3 = ConnectivityGraph(3, [(0, 1), (0, 2), (1, 2)])
@@ -198,8 +199,8 @@ class TestRecognize:
 
     def test_witness_is_the_sweep_absorption_order(self):
         # Seed (0, 1) covers. FIFO absorbs 4 before 3: 1's row brings in 2
-        # and 4, and 3 waits for 2's row. The reference closure reads the
-        # rows in the same order, so it gives the same tuple.
+        # and 4, and 3 waits for 2's row. greedy_closure runs the sweep's
+        # own loop on the seed, so it gives the same tuple.
         g = ConnectivityGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
         result = recognize(g)
         assert result.witness == (0, 1, 2, 4, 3)
@@ -211,11 +212,11 @@ class TestRecognize:
         # Small graphs: every vertex with an edge is heavy, so the sweep
         # grows each seed by bitmasks; tests/test_kernels.py checks light
         # and mixed graphs.
-        covering = [seed for seed in g.edges if len(greedy_closure(g, seed)) == g.m]
+        covering = [seed for seed in g.edges if len(fifo_closure(g, seed)) == g.m]
         result = recognize(g)
         assert result.linked == bool(covering)
         if covering:
-            assert result.witness == greedy_closure(g, covering[0])
+            assert result.witness == fifo_closure(g, covering[0])
 
     @given(graphs())
     def test_decides_without_the_reference_closure(self, g):
@@ -241,8 +242,8 @@ class TestRecognize:
 
     @pytest.mark.usefixtures("seed_lists_refused_after_sweep")
     def test_certificate_answers_len_and_max_without_the_seed_lists(self):
-        # The certificate keeps the seed count and the largest stuck-set
-        # size; only iteration and a lookup by key read the graph's seed lists.
+        # The certificate keeps the largest stuck-set size and reads its
+        # length from the adjacency; only iteration reads the seed lists.
         g = gen_pendant_clique(40)
         cert = recognize(g).certificate
         assert len(cert) == 39 * 38 // 2 + 1
@@ -258,7 +259,7 @@ class TestRecognize:
         if result.linked:
             return
         cert = result.certificate
-        eager = {seed: frozenset(greedy_closure(g, seed)) for seed in g.edges}
+        eager = {seed: frozenset(fifo_closure(g, seed)) for seed in g.edges}
         assert len(cert) == len(eager)
         assert cert.max_stuck_size == max(map(len, eager.values()), default=0)
         assert list(cert) == list(eager)
@@ -302,13 +303,16 @@ class TestRecognize:
         assert kept <= 4096
 
     def test_certificate_lookup_keeps_nothing(self):
-        # K_{300,300}, 90,000 seeds, each stuck at its two ends. The first
-        # lookup bisects the stored seed lists and keeps 216 traced bytes
-        # under pytest on CPython 3.11.7 (288 alone), the frozenset it
-        # returns; the certificate that built an edge -> size dict on its
-        # first lookup kept 10,171,464.
+        # K_{300,300}, 90,000 seeds, each stuck at its two ends. A lookup
+        # finds the seed by has_edge and runs kernels.closure, and keeps 216
+        # traced bytes on CPython 3.10.13 to 3.13.0 (one fresh process each),
+        # the frozenset it returns; the certificate that built an edge ->
+        # size dict on its first lookup kept 10,171,464. The untraced lookup
+        # of another seed fills the interpreter's per-code caches, which a
+        # first lookup would otherwise count: 3,288 bytes on 3.10.13.
         g = ConnectivityGraph(600, [(u, w) for u in range(300) for w in range(300, 600)])
         cert = recognize(g).certificate
+        cert[(1, 301)]
         tracemalloc.start()
         try:
             stuck = cert[(0, 300)]
